@@ -8,13 +8,17 @@ Measures, on the reference asynchronous AES designs:
   guess subsample);
 * attack effectiveness — traces-to-disclosure of single-bit DPA vs CPA on
   the flat (leaking) design; at the full workload the benchmark asserts CPA
-  discloses the key byte on at most **half** the traces DPA needs;
+  discloses the key byte on at most **half** the traces DPA needs.  The
+  attacked S-box output bit is chosen by measurement: a known-key specific
+  t-test over all 128 candidate bits on a noisy profiling acquisition of
+  its own (independent plaintexts and noise stream);
 * sharded campaign scaling — the same (designs × attacks × noise) grid run
-  serially and through the ``fork`` shard pool; the merged tables must be
-  identical, and with ``--assert-speedup`` on a machine with >= 4 dedicated
-  cores the benchmark asserts a >= 2x wall-clock speedup at 4 workers (the
-  assertion is opt-in because shared CI runners and multithreaded BLAS make
-  wall-clock gates flaky).
+  serially (the campaign service's inline executor) and with ``--workers``
+  forked service workers (``campaign.run(workers=N)``); the merged tables
+  must be identical, and with ``--assert-speedup`` on a machine with >= 4
+  dedicated cores the benchmark asserts a >= 2x wall-clock speedup at 4
+  workers (the assertion is opt-in because shared CI runners and
+  multithreaded BLAS make wall-clock gates flaky).
 
 Run with:  PYTHONPATH=src python benchmarks/bench_cpa_throughput.py
            [--traces 1000] [--workers 4] [--assert-speedup]
@@ -44,6 +48,31 @@ from repro.pnr import run_flat_flow, run_hierarchical_flow
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
+#: Noise of the campaign's noisy scenario, and of the profiling acquisition.
+NOISE_SIGMA = 2e-5
+
+
+def _profiled_selection(netlist, key, architecture, traces, seed):
+    """The S-box output bit that leaks most on ``netlist``, by measurement.
+
+    A known-key specific t-test ranks every (byte, bit) candidate on a
+    noisy acquisition of its own.  Ranking the bits of one byte by a single
+    channel's extracted d_A picks a bit the attacks cannot recover on some
+    placements; on noiseless traces a leak too small to attack already
+    saturates |t|, hence the noise.
+    """
+    profile = AttackCampaign(key, architecture=architecture)
+    profile.add_design("profile", netlist)
+    profile.add_noise("profile", lambda: GaussianNoise(NOISE_SIGMA,
+                                                       seed=seed))
+    candidates = [AesSboxSelection(byte_index=byte, bit_index=bit)
+                  for byte in range(16) for bit in range(8)]
+    for candidate in candidates:
+        profile.add_assessment("tvla-specific", selection=candidate)
+    peaks = [row.peak for row in profile.run(traces, seed=seed).assessments]
+    best = max(range(len(candidates)), key=peaks.__getitem__)
+    return candidates[best], peaks[best]
+
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -65,11 +94,12 @@ def main() -> None:
     hier_netlist = AesNetlistGenerator(architecture, name="aes_cpa_hier").build()
     run_hierarchical_flow(hier_netlist, seed=args.seed, effort=0.8)
 
+    selection, profile_t = _profiled_selection(
+        flat_netlist, key, architecture, args.traces, args.seed + 3)
+    print(f"attacked bit: {selection.name} (profiling max|t| = "
+          f"{profile_t:.1f})")
     generator = AesPowerTraceGenerator(flat_netlist, key,
                                        architecture=architecture)
-    best_bit = max(range(8), key=lambda j: generator.channel_dissymmetry(
-        "bytesub0_to_sr0", 24 + j))
-    selection = AesSboxSelection(byte_index=0, bit_index=best_bit)
     plaintexts = PlaintextGenerator(seed=args.seed + 1).batch(args.traces)
     traces = generator.trace_batch(plaintexts)
     matrix = traces.matrix()
@@ -111,7 +141,7 @@ def main() -> None:
     campaign.add_attack("cpa", model="bit")
     campaign.add_noise("noiseless")
     campaign.add_noise("sigma=2e-5",
-                       lambda: GaussianNoise(2e-5, seed=args.seed + 2))
+                       lambda: GaussianNoise(NOISE_SIGMA, seed=args.seed + 2))
 
     start = time.perf_counter()
     serial = campaign.run(plaintexts=plaintexts)
@@ -129,6 +159,8 @@ def main() -> None:
     cpa_mtd = serial.row("AES_v2_flat", attack="cpa-bit",
                          noise="noiseless").disclosure
     lines += [
+        f"attacked bit                 : {selection.name} (profiling "
+        f"max|t| = {profile_t:.1f})",
         f"flat-design disclosure       : DPA = {dpa_mtd} traces, "
         f"CPA = {cpa_mtd} traces",
         "",
@@ -176,6 +208,7 @@ def main() -> None:
                                    if args.assert_speedup else None),
         },
         metrics={"serial_s": serial_s, "sharded_s": sharded_s,
+                 "selection": selection.name, "profile_max_t": profile_t,
                  "dpa_mtd": dpa_mtd, "cpa_mtd": cpa_mtd})
 
 

@@ -1,4 +1,4 @@
-"""The secure design flow of Section VI.
+"""The attack campaign that evaluates the secure design flow of Section VI.
 
 The paper derives, from the formal analysis, "a complete design flow ...
 to minimize the information leakage":
@@ -12,25 +12,25 @@ to minimize the information leakage":
 4. iterate (tighter fences, different seed) until every channel satisfies the
    required bound.
 
-:func:`run_secure_flow` executes steps 2–4 on any channel-annotated netlist;
-:func:`compare_flat_vs_hierarchical` runs the reference flat flow alongside
-for the Table-2 style comparison.
+:mod:`repro.harden` runs steps 2–4
+(:func:`~repro.harden.pipeline.hierarchical_pipeline` plus
+:class:`~repro.harden.passes.FenceResizePass`); :class:`AttackCampaign`
+attacks the resulting design variants side by side for the Table-2 style
+comparison.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import multiprocessing
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.netlist import Netlist
-from ..obs.telemetry import Telemetry, current, use
+from ..obs.telemetry import current, use
 from ..crypto.keys import PlaintextGenerator
 from ..electrical.noise import NoiseModel, apply_noise_matrix, apply_noise_trace
 from ..electrical.technology import HCMOS9_LIKE, Technology
-from ..pnr.flows import PlacedDesign, run_flat_flow, run_hierarchical_flow
 from .cpa import (
     AttackKernel,
     CpaKernel,
@@ -38,9 +38,7 @@ from .cpa import (
     SecondOrderKernel,
     run_attack,
 )
-from .criterion import CriterionReport, evaluate_netlist_channels
 from .dpa import DPAError, DPAResult, TraceSet, messages_to_disclosure
-from .metrics import AreaReport, area_overhead
 from .power_model import (
     HammingDistanceModel,
     HammingWeightModel,
@@ -49,180 +47,6 @@ from .power_model import (
 from .selection import SelectionFunction
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class FlowConfig:
-    """Knobs of the secure design flow."""
-
-    criterion_bound: float = 0.15
-    use_load_cap: bool = True
-    seed: int = 0
-    block_utilization: float = 0.78
-    channel_margin_um: float = 3.0
-    effort: float = 1.0
-    max_iterations: int = 3
-    utilization_step: float = 0.05
-    technology: Technology = field(default_factory=lambda: HCMOS9_LIKE)
-
-
-@dataclass
-class FlowIteration:
-    """Outcome of one place-and-route + criterion evaluation pass."""
-
-    index: int
-    seed: int
-    block_utilization: float
-    max_dissymmetry: float
-    violations: int
-    design: PlacedDesign
-    criterion: CriterionReport
-
-
-@dataclass
-class FlowResult:
-    """Final outcome of the secure design flow."""
-
-    design: PlacedDesign
-    criterion: CriterionReport
-    area: AreaReport
-    passed: bool
-    iterations: List[FlowIteration] = field(default_factory=list)
-
-    @property
-    def max_dissymmetry(self) -> float:
-        return self.criterion.max_dissymmetry
-
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"[{status}] {self.design.name}: max dA = {self.max_dissymmetry:.3f} "
-            f"over {len(self.criterion)} channels after {len(self.iterations)} "
-            f"iteration(s); die area {self.area.die_area_um2:.0f} um2"
-        )
-
-
-def run_secure_flow(netlist: Netlist, config: Optional[FlowConfig] = None, *,
-                    block_order: Optional[Sequence[str]] = None,
-                    design_name: Optional[str] = None) -> FlowResult:
-    """Run the hierarchical secure flow until the criterion bound is met.
-
-    Every iteration re-places the design with a tighter block utilization (and
-    a fresh seed), mirroring how a designer would constrain the floorplan
-    further when a channel still violates the bound.  The best iteration (the
-    one with the lowest maximum criterion) is returned even when the bound is
-    never met within ``max_iterations``.
-    """
-    config = config if config is not None else FlowConfig()
-    iterations: List[FlowIteration] = []
-    best: Optional[FlowIteration] = None
-
-    utilization = config.block_utilization
-    for index in range(config.max_iterations):
-        seed = config.seed + index
-        design = run_hierarchical_flow(
-            netlist,
-            seed=seed,
-            technology=config.technology,
-            block_utilization=utilization,
-            channel_margin_um=config.channel_margin_um,
-            effort=config.effort,
-            block_order=block_order,
-            design_name=design_name or f"{netlist.name}_secure",
-        )
-        criterion = evaluate_netlist_channels(
-            netlist, use_load_cap=config.use_load_cap,
-            design_name=design.name,
-        )
-        iteration = FlowIteration(
-            index=index,
-            seed=seed,
-            block_utilization=utilization,
-            max_dissymmetry=criterion.max_dissymmetry,
-            violations=len(criterion.channels_above(config.criterion_bound)),
-            design=design,
-            criterion=criterion,
-        )
-        iterations.append(iteration)
-        if best is None or iteration.max_dissymmetry < best.max_dissymmetry:
-            best = iteration
-        if criterion.meets_bound(config.criterion_bound):
-            break
-        # Constrain harder on the next pass.
-        utilization = min(0.95, utilization + config.utilization_step)
-
-    assert best is not None
-    return FlowResult(
-        design=best.design,
-        criterion=best.criterion,
-        area=best.design.area_report(),
-        passed=best.criterion.meets_bound(config.criterion_bound),
-        iterations=iterations,
-    )
-
-
-@dataclass
-class FlowComparison:
-    """Flat-vs-hierarchical comparison (the substance of Table 2)."""
-
-    flat: FlowResult
-    hierarchical: FlowResult
-
-    @property
-    def area_overhead(self) -> float:
-        """Die-area cost of the hierarchical flow (paper: about +20 %)."""
-        return area_overhead(self.flat.area, self.hierarchical.area)
-
-    @property
-    def criterion_improvement(self) -> float:
-        """Ratio of the flat max criterion to the hierarchical one."""
-        hier = self.hierarchical.max_dissymmetry
-        if hier == 0:
-            return float("inf")
-        return self.flat.max_dissymmetry / hier
-
-    def summary(self) -> str:
-        return (
-            f"flat max dA = {self.flat.max_dissymmetry:.3f}, "
-            f"hierarchical max dA = {self.hierarchical.max_dissymmetry:.3f} "
-            f"(improvement x{self.criterion_improvement:.1f}), "
-            f"area overhead {self.area_overhead:+.1%}"
-        )
-
-
-def compare_flat_vs_hierarchical(netlist_factory, *,
-                                 config: Optional[FlowConfig] = None,
-                                 flat_seed: int = 0,
-                                 design_name: str = "design") -> FlowComparison:
-    """Run both flows on freshly built netlists and compare them.
-
-    ``netlist_factory`` is a zero-argument callable returning a new netlist
-    each time, so that the two flows annotate independent copies (extraction
-    mutates net capacitances in place).
-    """
-    config = config if config is not None else FlowConfig()
-
-    flat_netlist = netlist_factory()
-    flat_design = run_flat_flow(
-        flat_netlist, seed=flat_seed, technology=config.technology,
-        effort=config.effort, design_name=f"{design_name}_v2_flat",
-    )
-    flat_criterion = evaluate_netlist_channels(
-        flat_netlist, use_load_cap=config.use_load_cap,
-        design_name=flat_design.name,
-    )
-    flat_result = FlowResult(
-        design=flat_design,
-        criterion=flat_criterion,
-        area=flat_design.area_report(),
-        passed=flat_criterion.meets_bound(config.criterion_bound),
-        iterations=[],
-    )
-
-    hier_netlist = netlist_factory()
-    hier_result = run_secure_flow(hier_netlist, config,
-                                  design_name=f"{design_name}_v1_hier")
-    return FlowComparison(flat=flat_result, hierarchical=hier_result)
 
 
 # ----------------------------------------------------------- attack campaign
@@ -1160,62 +984,6 @@ class AttackCampaign:
         dt, t0 = traces._time_params()
         return matrix, dt, t0
 
-    def _run_sharded(self, scenarios: List[tuple],
-                     plaintexts: Sequence[Sequence[int]],
-                     workers: int, options: Dict[str, bool]
-                     ) -> List[List[CampaignRow]]:
-        """Fan the scenario list over a forked worker pool, order-preserving.
-
-        Each worker re-generates its own shard's traces (per-shard trace
-        generation: nothing but the scenario index crosses the process
-        boundary on the way in, so unpicklable netlists, trace sources and
-        noise factories all work), and ships back plain result rows.  Falls
-        back to the serial path when ``fork`` is unavailable — the results
-        are identical either way, only the wall-clock changes.
-        """
-        return list(self._run_sharded_iter(scenarios, plaintexts, workers,
-                                           options))
-
-    def _run_sharded_iter(self, scenarios: List[tuple],
-                          plaintexts: Sequence[Sequence[int]],
-                          workers: int, options: Dict[str, bool]
-                          ) -> Iterator[Tuple[List[CampaignRow],
-                                              List[AssessmentRow]]]:
-        """Scenario results in scenario order, yielded as they complete.
-
-        The lazy (``imap``) form of :meth:`_run_sharded`: the store spill
-        path consumes it so every finished scenario is persisted as soon as
-        its result (and those of the scenarios before it) arrive, instead
-        of only after the whole pool drains.
-        """
-        if not scenarios:
-            # Pool(processes=0) raises ValueError; an empty grid (e.g. a
-            # fully-resumed store run) is simply an empty result.
-            return
-        if "fork" not in multiprocessing.get_all_start_methods():
-            logger.info("fork unavailable on this platform; campaign runs "
-                        "%d scenario(s) serially", len(scenarios))
-            for scenario in scenarios:
-                yield self._run_scenario(scenario, plaintexts, **options)
-            return
-        telemetry = current()
-        global _SHARD_STATE
-        context = multiprocessing.get_context("fork")
-        _SHARD_STATE = (self, scenarios, plaintexts, options)
-        try:
-            with context.Pool(processes=min(workers, len(scenarios))) as pool:
-                for index, (rows, assessment_rows, shard_tree) in enumerate(
-                        pool.imap(_scenario_shard_worker,
-                                  range(len(scenarios)), chunksize=1)):
-                    # Adopted in scenario order (imap preserves it), so the
-                    # merged span tree is deterministic: same shape as the
-                    # serial run, with the shard index as attribution.
-                    if shard_tree is not None:
-                        telemetry.adopt(shard_tree, shard=index)
-                    yield rows, assessment_rows
-        finally:
-            _SHARD_STATE = None
-
     def _tvla_schedule_for(self, count: int, seed: int) -> Optional[tuple]:
         """The shared fixed-vs-random acquisition of the non-specific TVLAs."""
         fr_assessments = [a for a in self._assessments if a.kind == "tvla"]
@@ -1281,11 +1049,15 @@ class AttackCampaign:
         Traces are generated once per design and noise level and shared by
         all selection functions, attack kernels and value-partitioned
         assessments (non-specific TVLA adds one fixed-vs-random acquisition
-        per scenario).  With ``workers > 1`` the (noise × design) scenarios —
-        the units that own a trace generation — are sharded across a
-        ``fork``-based process pool; every shard generates its own traces and
-        the merged table is *identical* to the serial one (same plaintexts,
-        same per-scenario noise streams, same row order), so sharding is
+        per scenario).  Every run is dispatched by a
+        :class:`repro.serve.CampaignService`: without ``service=`` the run
+        starts a one-run service with ``workers`` forked workers (at most
+        one per scenario) and shuts it down on return; ``workers=1``, a
+        one-scenario grid or a platform without ``fork`` runs the
+        scenarios here, in order, through the service's inline executor.
+        The (noise × design) scenarios own their trace generation, so the
+        merged table is *identical* at any worker count (same plaintexts,
+        same per-scenario noise streams, same row order) and ``workers`` is
         purely a wall-clock knob.
 
         With ``streaming=True`` each scenario consumes its traces as
@@ -1293,7 +1065,8 @@ class AttackCampaign:
         :mod:`repro.assess` — never materializing more than one chunk — and
         produces the same rows as the in-memory run (to floating-point
         reordering, ≲ 1e-9) for every chunk size.  Streaming composes with
-        ``workers``: shards stream independently.
+        ``workers``: each worker streams whole scenarios under the same
+        one-chunk memory bound and returns only their result rows.
 
         With ``store=path`` every completed (noise × design) scenario is
         spilled to a columnar shard under ``path`` (npz frames behind a JSON
@@ -1312,12 +1085,12 @@ class AttackCampaign:
         run records a hierarchical span tree — one ``campaign.scenario``
         span per (noise × design) scenario with nested generation, attack
         and assessment phases, plus the store spill/merge spans — with
-        counters (traces, chunks, attacks) and peak-RSS gauges.  Sharded
+        counters (traces, chunks, attacks) and peak-RSS gauges.  Pool
         workers record locally and the parent merges their trees in
-        scenario order, so serial and ``workers=N`` runs produce the same
-        tree shape (sharded spans carry a deterministic ``shard`` index)
-        and the result rows are byte-identical either way.  Render the tree
-        with :class:`repro.obs.RunReport` or export it via
+        scenario order, so serial and ``workers=N`` in-memory runs produce
+        the same tree shape (pooled spans carry a deterministic ``shard``
+        index) and the result rows are byte-identical either way.  Render
+        the tree with :class:`repro.obs.RunReport` or export it via
         :mod:`repro.obs`.  Telemetry defaults to the ambient collector —
         the zero-cost no-op unless :func:`repro.obs.use` installed one.
 
@@ -1332,17 +1105,17 @@ class AttackCampaign:
         still occurs where it used to — and ``"off"`` skips the
         pre-flight entirely.
 
-        ``service`` hands scheduling to a running
-        :class:`repro.serve.CampaignService`: scenarios decompose into
-        chunk-level jobs balanced across the service's persistent worker
-        pool, with trace matrices returned over shared memory and all
+        ``service`` hands scheduling to a running, persistent
+        :class:`repro.serve.CampaignService` instead: streaming scenarios
+        decompose into chunk-level jobs balanced across its worker pool,
+        with trace matrices returned over shared memory and all
         accumulator updates applied here in deterministic chunk order —
         the merged table (and any ``store`` frames) are byte-identical to
         the serial run.  The campaign must have been registered with the
         service before it started; ``service`` composes with
         ``streaming``/``store`` but rejects ``workers > 1`` (the service
-        owns the pool) and ``keep_results`` (result objects are not
-        transportable).
+        owns the pool) and ``keep_results`` (a persistent service keeps
+        its pickle-free result transport).
         """
         if drc not in ("error", "warn", "off"):
             raise ValueError(f"drc must be 'error', 'warn' or 'off', "
@@ -1366,6 +1139,11 @@ class AttackCampaign:
         plaintexts = [list(p) for p in plaintexts]
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        if keep_results and store is not None:
+            raise ValueError(
+                "keep_results does not compose with store=: attack result "
+                "objects are not columnar — re-run the scenario of interest "
+                "in memory to inspect full DPAResult objects")
         if service is not None:
             if workers > 1:
                 raise ValueError(
@@ -1373,9 +1151,10 @@ class AttackCampaign:
                     "owns the worker pool (configure it there)")
             if keep_results:
                 raise ValueError(
-                    "keep_results does not compose with service=: attack "
-                    "result objects do not cross the service transport — "
-                    "re-run the scenario of interest in memory")
+                    "keep_results does not compose with service=: a "
+                    "persistent service keeps its pickle-free result "
+                    "transport — re-run the scenario of interest without "
+                    "service=")
 
         telemetry = current() if telemetry is None else telemetry
 
@@ -1407,36 +1186,22 @@ class AttackCampaign:
                     return service._execute_campaign(
                         self, scenarios, plaintexts, seed, options,
                         store=store)
-                if store is not None:
-                    return self._run_with_store(store, scenarios, plaintexts,
-                                                seed, workers, options)
-                if workers > 1 and len(scenarios) > 1:
-                    shard_rows = self._run_sharded(scenarios, plaintexts,
-                                                   workers, options)
-                else:
-                    shard_rows = [self._run_scenario(scenario, plaintexts,
-                                                     **options)
-                                  for scenario in scenarios]
+                # Imported lazily: repro.serve schedules campaign internals.
+                from ..serve import CampaignService
 
-                campaign = CampaignResult()
-                for rows, assessment_rows in shard_rows:
-                    campaign.rows.extend(rows)
-                    campaign.assessments.extend(assessment_rows)
-                telemetry.record_rss()
-                return campaign
+                with CampaignService._for_run(self, workers,
+                                              len(scenarios)) as service:
+                    return service._execute_campaign(
+                        self, scenarios, plaintexts, seed, options,
+                        store=store)
 
     # ---------------------------------------------------------------- store
     @staticmethod
     def _scenario_keys(scenarios: List[tuple]) -> List[str]:
-        """One stable manifest key per (noise × design) scenario."""
-        keys = [f"{noise_label}/{design.label}"
+        """One manifest key per (noise × design) scenario (unique only
+        where a store needs them to be — see the scheduler)."""
+        return [f"{noise_label}/{design.label}"
                 for noise_label, _factory, design in scenarios]
-        duplicates = sorted({key for key in keys if keys.count(key) > 1})
-        if duplicates:
-            raise ValueError(
-                f"duplicate scenario keys {duplicates}: every "
-                "(noise, design) pair must be unique to spill to a store")
-        return keys
 
     def _grid_fingerprint(self, keys: List[str],
                           plaintexts: Sequence[Sequence[int]], seed: int,
@@ -1472,69 +1237,6 @@ class AttackCampaign:
             "mtd": [self.mtd_start, self.mtd_step, self.stable_runs],
         }
         return grid_fingerprint(payload)
-
-    def _run_with_store(self, store, scenarios: List[tuple],
-                        plaintexts: Sequence[Sequence[int]], seed: int,
-                        workers: int,
-                        options: Dict[str, object]) -> CampaignResult:
-        """The spill-and-resume form of :meth:`run`.
-
-        Completed scenarios are read back from their shards instead of
-        re-running; missing ones run (sharded or serial) and are persisted
-        in scenario order the moment they — and their predecessors — finish.
-        The merged result always round-trips through the columnar frames,
-        so a resumed run and a fresh run produce byte-identical tables.
-        """
-        from ..store import CampaignFrame, CampaignStore
-
-        if options["keep_results"]:
-            raise ValueError(
-                "keep_results does not compose with store=: attack result "
-                "objects are not columnar — re-run the scenario of interest "
-                "in memory to inspect full DPAResult objects")
-        keys = self._scenario_keys(scenarios)
-        fingerprint = self._grid_fingerprint(keys, plaintexts, seed, options)
-        campaign_store = CampaignStore.open(
-            store, kind="campaign", scenario_keys=keys,
-            fingerprint=fingerprint)
-        done = set(campaign_store.completed_keys())
-        pending_keys = [key for key in keys if key not in done]
-        pending_scenarios = [scenario for key, scenario
-                             in zip(keys, scenarios) if key not in done]
-        if done:
-            logger.info("campaign store resume: %d/%d scenarios already "
-                        "complete, %d to run", len(done), len(keys),
-                        len(pending_keys))
-        if workers > 1 and len(pending_scenarios) > 1:
-            results = self._run_sharded_iter(pending_scenarios, plaintexts,
-                                             workers, options)
-        else:
-            results = (self._run_scenario(scenario, plaintexts, **options)
-                       for scenario in pending_scenarios)
-        written = {}
-        for key, (rows, assessment_rows) in zip(pending_keys, results):
-            tables = {
-                "rows": CampaignFrame.from_rows(rows, kind="campaign"),
-                "assessments": CampaignFrame.from_rows(assessment_rows,
-                                                       kind="assessment"),
-            }
-            campaign_store.write_shard(key, tables)
-            written[key] = tables
-        merged = campaign_store.merge_tables(
-            {"rows": "campaign", "assessments": "assessment"}, keys=keys,
-            cache=written)
-        telemetry = current()
-        telemetry.record_rss()
-        tables = dict(merged)
-        if telemetry.enabled:
-            # Persist the (still-open) run's span tree next to the shard
-            # manifest so the metrics are queryable like any campaign table.
-            from ..obs.export import telemetry_frame
-
-            tables["telemetry"] = telemetry_frame(telemetry.snapshot())
-        campaign_store.finalize(tables)
-        return CampaignResult(rows=merged["rows"].to_rows(),
-                              assessments=merged["assessments"].to_rows())
 
 
 class _StreamingScenarioState:
@@ -1694,31 +1396,3 @@ class _StreamingScenarioState:
                                               self.noise_label,
                                               assessment, state)
                 for assessment, state in self.fr_states]
-
-
-#: Campaign state inherited by forked shard workers (set around the pool's
-#: lifetime only).  Passing the index alone keeps the inbound task payload
-#: trivially picklable; the forked child reads everything else from its
-#: copy-on-write memory image.
-_SHARD_STATE: Optional[tuple] = None
-
-
-def _scenario_shard_worker(index: int) -> tuple:
-    """Run one scenario in the forked child; returns (rows, assessments,
-    telemetry tree or None).
-
-    The child inherits the parent's ambient collector through the fork;
-    when it is enabled, the worker records into its own fresh collector and
-    ships the snapshot back for the parent to adopt — worker identity never
-    enters the tree, only the deterministic scenario index does.
-    """
-    campaign, scenarios, plaintexts, options = _SHARD_STATE
-    if not current().enabled:
-        rows, assessment_rows = campaign._run_scenario(
-            scenarios[index], plaintexts, **options)
-        return rows, assessment_rows, None
-    local = Telemetry(name="shard")
-    with use(local):
-        rows, assessment_rows = campaign._run_scenario(
-            scenarios[index], plaintexts, **options)
-    return rows, assessment_rows, local.snapshot()

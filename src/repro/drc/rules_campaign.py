@@ -28,8 +28,8 @@ def check_grid_labels(context) -> List[Finding]:
     """CAM001 — grid label integrity and guess-subset consistency.
 
     Duplicate design or noise labels collapse distinct scenarios into one
-    indistinguishable table row (and abort a ``store=`` run in
-    ``_scenario_keys``); a selection whose true guess is outside the
+    indistinguishable table row (and abort a ``store=`` run, whose shards
+    need unique scenario keys); a selection whose true guess is outside the
     campaign's restricted guess subset aborts mid-attack with a
     ``DPAError`` after the traces were already generated.
     """
@@ -79,11 +79,12 @@ def _pickle_probe(value) -> str:
 def check_shard_picklability(context) -> List[Finding]:
     """CAM002 — ``workers > 1`` with unpicklable grid callables.
 
-    Sharding forks the campaign into worker processes; a custom trace
-    source or noise factory that cannot pickle (a lambda, a closure over
-    an open handle) ties the run to the copy-on-write ``fork`` start
-    method.  Where ``fork`` is unavailable the campaign silently falls
-    back to serial — the workers knob quietly does nothing.  Probed with
+    Sharding forks the campaign into the workers of a one-run
+    :class:`repro.serve.CampaignService`; a custom trace source or noise
+    factory that cannot pickle (a lambda, a closure over an open handle)
+    ties the run to the copy-on-write ``fork`` start method.  Where
+    ``fork`` is unavailable the service falls back to its 0-worker inline
+    executor — the workers knob quietly does nothing.  Probed with
     :func:`pickle.dumps` on the callables only, never on netlists.
     """
     campaign = context.campaign

@@ -8,9 +8,9 @@ criterion evaluation per point of the knob product
 security_weight``
 
 and merges the per-point results into a deterministic table.  Points are
-independent, so the sweep shards over forked workers exactly like
+independent, so the sweep is dispatched by :mod:`repro.serve` exactly like
 :class:`repro.core.flow.AttackCampaign`: nothing but the point index crosses
-the process boundary on the way in (each worker regenerates its shard's
+the process boundary on the way in (each worker regenerates its point's
 netlist from the factory), and the merged table is byte-identical to a
 serial run.
 """
@@ -18,17 +18,13 @@ serial run.
 from __future__ import annotations
 
 import itertools
-import logging
-import multiprocessing
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from ..circuits.netlist import Netlist
 from ..electrical.technology import HCMOS9_LIKE, Technology
-from ..obs.telemetry import Telemetry, current, use
+from ..obs.telemetry import current, use
 from .placement import AnnealingSchedule, PlacementError
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -154,12 +150,15 @@ class PlacementSweep:
     # ------------------------------------------------------------------ run
     def run(self, *, workers: int = 1, store=None,
             telemetry=None, service=None) -> SweepResult:
-        """Run every grid point; ``workers > 1`` shards over forked workers.
+        """Run every grid point through a :class:`repro.serve.CampaignService`.
 
-        The merged result is in grid order regardless of worker count, and
-        byte-identical to the serial run (each point is deterministic and
-        fully independent).  Falls back to the serial path when ``fork`` is
-        unavailable.
+        Without ``service=`` the sweep starts a one-run service with
+        ``workers`` forked workers (at most one per point) and shuts it
+        down on return; ``workers=1``, a one-point grid or a platform
+        without ``fork`` runs the points here, in grid order, through the
+        service's inline executor.  The merged result is in grid order
+        regardless of worker count, and byte-identical to the serial run
+        (each point is deterministic and fully independent).
 
         With ``store=path`` every finished point is spilled to a columnar
         shard under ``path`` (the same npz + manifest format as
@@ -171,14 +170,14 @@ class PlacementSweep:
 
         With ``telemetry=`` a :class:`repro.obs.Telemetry` collector, the
         sweep records one ``sweep.point`` span per grid point (annealer
-        move counters and peak RSS nested inside); sharded workers record
+        move counters and peak RSS nested inside); pool workers record
         locally and their trees merge in grid order, same shape as serial.
 
-        With ``service=`` a running :class:`repro.serve.CampaignService`
-        the sweep was registered with, grid points are scheduled as jobs
-        on the service's persistent worker pool (``workers`` must stay 1 —
-        the service owns the pool); the merged table is byte-identical to
-        a serial run.
+        With ``service=`` a running, persistent
+        :class:`repro.serve.CampaignService` the sweep was registered with,
+        grid points are scheduled as jobs on its worker pool (``workers``
+        must stay 1 — the service owns the pool); the merged table is
+        byte-identical to a serial run.
         """
         points = self.points()
         design = self.netlist_factory().name
@@ -193,36 +192,13 @@ class PlacementSweep:
             if service is not None:
                 return service._execute_sweep(self, points, design,
                                               store=store)
-            if store is not None:
-                return self._run_with_store(store, points, design, workers)
-            if (workers <= 1 or len(points) <= 1
-                    or "fork" not in multiprocessing.get_all_start_methods()):
-                rows = [self._run_point(point) for point in points]
-            else:
-                rows = list(self._run_sharded_iter(points, workers))
-            telemetry.record_rss()
-            return SweepResult(flow=self.flow, design=design, rows=rows)
+            # Imported lazily: repro.serve schedules sweep internals.
+            from ..serve import CampaignService
 
-    def _run_sharded_iter(self, points: List[SweepPoint], workers: int):
-        """Sweep rows in grid order, yielded as they complete (fork pool)."""
-        if not points:
-            # Pool(processes=0) raises ValueError; an empty grid (e.g. a
-            # fully-resumed store run) is simply an empty result.
-            return
-        telemetry = current()
-        global _SWEEP_STATE
-        context = multiprocessing.get_context("fork")
-        _SWEEP_STATE = (self, points)
-        try:
-            with context.Pool(processes=min(workers, len(points))) as pool:
-                for index, (row, shard_tree) in enumerate(
-                        pool.imap(_sweep_shard_worker, range(len(points)),
-                                  chunksize=1)):
-                    if shard_tree is not None:
-                        telemetry.adopt(shard_tree, shard=index)
-                    yield row
-        finally:
-            _SWEEP_STATE = None
+            with CampaignService._for_run(self, workers,
+                                          len(points)) as service:
+                return service._execute_sweep(self, points, design,
+                                              store=store)
 
     # ---------------------------------------------------------------- store
     def _grid_fingerprint(self, points: List[SweepPoint],
@@ -247,65 +223,3 @@ class PlacementSweep:
                        for point in points],
         }
         return grid_fingerprint(payload)
-
-    def _run_with_store(self, store, points: List[SweepPoint], design: str,
-                        workers: int) -> SweepResult:
-        """The spill-and-resume form of :meth:`run` (one shard per point)."""
-        from ..store import CampaignFrame, CampaignStore
-
-        keys = [f"point-{index:04d}" for index in range(len(points))]
-        sweep_store = CampaignStore.open(
-            store, kind="sweep", scenario_keys=keys,
-            fingerprint=self._grid_fingerprint(points, design),
-            metadata={"flow": self.flow, "design": design})
-        done = set(sweep_store.completed_keys())
-        if done:
-            logger.info("sweep store resume: %d/%d points already complete",
-                        len(done), len(keys))
-        pending = [(key, point) for key, point in zip(keys, points)
-                   if key not in done]
-        pending_keys = [key for key, _point in pending]
-        pending_points = [point for _key, point in pending]
-        if (workers > 1 and len(pending_points) > 1
-                and "fork" in multiprocessing.get_all_start_methods()):
-            results = self._run_sharded_iter(pending_points, workers)
-        else:
-            results = (self._run_point(point) for point in pending_points)
-        written = {}
-        for key, row in zip(pending_keys, results):
-            tables = {"rows": CampaignFrame.from_rows([row], kind="sweep")}
-            sweep_store.write_shard(key, tables)
-            written[key] = tables
-        merged = sweep_store.merge_tables({"rows": "sweep"}, keys=keys,
-                                          cache=written)
-        telemetry = current()
-        telemetry.record_rss()
-        tables = dict(merged)
-        if telemetry.enabled:
-            from ..obs.export import telemetry_frame
-
-            tables["telemetry"] = telemetry_frame(telemetry.snapshot())
-        sweep_store.finalize(tables)
-        return SweepResult(flow=self.flow, design=design,
-                           rows=merged["rows"].to_rows())
-
-
-#: Sweep state inherited by forked shard workers (set around the pool's
-#: lifetime only); the inbound task payload is just the point index.
-_SWEEP_STATE: Optional[Tuple[PlacementSweep, List[SweepPoint]]] = None
-
-
-def _sweep_shard_worker(index: int) -> tuple:
-    """One grid point in the forked child: (row, telemetry tree or None).
-
-    Mirrors :func:`repro.core.flow._scenario_shard_worker`: the child
-    records into a fresh collector when the inherited ambient one is
-    enabled, and the parent adopts the snapshot in grid order.
-    """
-    sweep, points = _SWEEP_STATE
-    if not current().enabled:
-        return sweep._run_point(points[index]), None
-    local = Telemetry(name="shard")
-    with use(local):
-        row = sweep._run_point(points[index])
-    return row, local.snapshot()

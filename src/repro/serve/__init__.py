@@ -1,12 +1,14 @@
 """repro.serve — the campaign execution service.
 
-A persistent, fault-tolerant worker pool replacing the one-shot fork
-pools of ``AttackCampaign.run(workers=N)`` / ``PlacementSweep.run``:
-register the campaigns and sweeps, start the service once, and every
-subsequent run is scheduled as chunk- or scenario-level jobs over an
-async queue, with large arrays moving through per-worker shared-memory
-rings instead of pickle.  Serial, pooled and service-scheduled runs
-produce byte-identical merged tables and store frames.
+The one dispatcher of ``AttackCampaign.run`` / ``PlacementSweep.run``: a
+run without ``service=`` starts a one-run service (``workers=N`` forked
+workers, or the in-process inline executor at ``workers=1``).  A
+persistent, fault-tolerant service serves many runs instead: register
+the campaigns and sweeps, start the service once, and every subsequent
+run is scheduled as chunk- or scenario-level jobs over an async queue,
+with large arrays moving through per-worker shared-memory rings instead
+of pickle.  Serial, pooled and service-scheduled runs produce
+byte-identical merged tables and store frames.
 
 ::
 

@@ -19,7 +19,7 @@ SlotPayload` receipts into the worker's shared-memory ring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 #: Stream identifiers of a streaming campaign scenario (the attack stream
 #: consumes the run plaintexts; the TVLA stream consumes the independent
@@ -39,6 +39,7 @@ class RunSpec:
     seed: int = 0
     plaintexts: Tuple[Tuple[int, ...], ...] = ()
     compute_disclosure: bool = True
+    keep_results: bool = False
     streaming: bool = False
     chunk_size: Optional[int] = None
     store: Optional[str] = None
@@ -99,7 +100,9 @@ class FramePayload:
 #:   ("error", worker, job_id, message)
 #: ``payload`` of a done envelope is job-shaped: chunk jobs carry
 #: ``{"matrix": transport, "dt": float, "t0": float}``, scenario jobs
-#: carry ``{"tables": {name: FramePayload}}`` or ``{"record": ShardRecord}``
-#: plus an optional ``"telemetry"`` span tree, sweep jobs carry
+#: carry ``{"tables": {name: FramePayload}}``, ``{"record": ShardRecord}``
+#: or — for ``keep_results`` runs, whose rows hold attack result objects —
+#: the pickled ``{"rows": (rows, assessment_rows)}``, plus an optional
+#: ``"telemetry"`` span tree, sweep jobs carry
 #: ``{"row": SweepRow}``.
 CLAIM, BEAT, DONE, ERROR = "claim", "beat", "done", "error"

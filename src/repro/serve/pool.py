@@ -25,11 +25,12 @@ import os
 import signal
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from queue import Empty
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from ..obs.telemetry import Telemetry, use
+from ..obs.telemetry import Telemetry, current, use
 from .jobs import (
     ATTACK_STREAM,
     BEAT,
@@ -149,7 +150,9 @@ class _WorkerRuntime:
 
         The scheduler broadcasts every run's spec to every worker before it
         enqueues the run's jobs, so a bounded wait here means the spec was
-        lost — surfaced as an error rather than a silent hang.
+        lost — surfaced as an error rather than a silent hang.  A plan that
+        failed to build is cached as its error: the run's later jobs fail
+        at once instead of waiting on a spec this worker already consumed.
         """
         while run_id not in self.plans:
             try:
@@ -158,8 +161,14 @@ class _WorkerRuntime:
                 raise RuntimeError(
                     f"worker {self.worker_id} never received the spec of "
                     f"run {run_id}") from None
-            self.plans[spec.run_id] = self._build_plan(spec)
-        return self.plans[run_id]
+            try:
+                self.plans[spec.run_id] = self._build_plan(spec)
+            except Exception as error:
+                self.plans[spec.run_id] = error
+        plan = self.plans[run_id]
+        if isinstance(plan, Exception):
+            raise plan
+        return plan
 
     def _build_plan(self, spec: RunSpec) -> dict:
         target = self.targets[spec.name]
@@ -168,7 +177,7 @@ class _WorkerRuntime:
             scenarios, options = target._plan_run(
                 plaintexts, spec.seed,
                 compute_disclosure=spec.compute_disclosure,
-                keep_results=False, streaming=spec.streaming,
+                keep_results=spec.keep_results, streaming=spec.streaming,
                 chunk_size=spec.chunk_size)
             keys = target._scenario_keys(scenarios)
             fingerprint = target._grid_fingerprint(keys, plaintexts,
@@ -219,26 +228,29 @@ class _WorkerRuntime:
         scenario = plan["scenarios"][job.scenario]
         local = Telemetry(name="serve-worker") if spec.record_telemetry \
             else None
-        if local is not None:
-            with use(local):
-                rows, assessment_rows = target._run_scenario(
-                    scenario, plan["plaintexts"], **plan["options"])
-        else:
+        with use(local) if local is not None else nullcontext():
             rows, assessment_rows = target._run_scenario(
                 scenario, plan["plaintexts"], **plan["options"])
-        tables = {
-            "rows": CampaignFrame.from_rows(rows, kind="campaign"),
-            "assessments": CampaignFrame.from_rows(assessment_rows,
-                                                   kind="assessment"),
-        }
-        if job.shard_key is not None:
-            # Spill the shard straight from the worker — the npz frames are
-            # durable before the scheduler commits them to the manifest.
-            record = open_store(spec.store).write_shard_tables(job.shard_key,
-                                                               tables)
-            payload = {"record": record}
-        else:
-            payload = {"tables": _pack_tables(self.ring, tables)}
+            if spec.keep_results:
+                # Attack result objects are not columnar: pickle the rows.
+                payload = {"rows": (rows, assessment_rows)}
+            else:
+                tables = {
+                    "rows": CampaignFrame.from_rows(rows, kind="campaign"),
+                    "assessments": CampaignFrame.from_rows(
+                        assessment_rows, kind="assessment"),
+                }
+                if job.shard_key is None:
+                    payload = {"tables": _pack_tables(self.ring, tables)}
+                else:
+                    # Spill the shard straight from the worker — the npz
+                    # frames are durable before the scheduler commits them
+                    # to the manifest.
+                    with current().span("store.write_shard",
+                                        key=job.shard_key):
+                        payload = {"record": open_store(spec.store)
+                                   .write_shard_tables(job.shard_key,
+                                                       tables)}
         if local is not None:
             payload["telemetry"] = local.snapshot()
         return payload
@@ -249,12 +261,8 @@ class _WorkerRuntime:
         point = plan["points"][job.point]
         local = Telemetry(name="serve-worker") if spec.record_telemetry \
             else None
-        if local is not None:
-            with use(local):
-                row = target._run_point(point)
-        else:
-            row = target._run_point(point)
-        payload = {"row": row}
+        with use(local) if local is not None else nullcontext():
+            payload = {"row": target._run_point(point)}
         if local is not None:
             payload["telemetry"] = local.snapshot()
         return payload

@@ -1,21 +1,27 @@
-"""The campaign execution service: persistent pool, async queue, retries.
+"""The campaign execution service: the one dispatcher of campaign runs.
 
-:class:`CampaignService` replaces the one-shot fork pools of
-``AttackCampaign.run(workers=N)`` with a pool that outlives runs: targets
-are :meth:`~CampaignService.register`\\ ed, :meth:`~CampaignService.start`
+Every ``AttackCampaign.run`` and ``PlacementSweep.run`` executes through a
+:class:`CampaignService`.  A run without ``service=`` starts a one-run
+service — ``workers=N`` forked workers, or at ``workers=1`` the **inline
+executor** (``ServiceConfig(workers=0)``: no processes, queues or shared
+memory; every job runs in the calling process, in job order); a one-run
+pool runs each scenario, streaming or not, whole inside one worker.  A
+persistent service outlives runs instead: targets are
+:meth:`~CampaignService.register`\\ ed, :meth:`~CampaignService.start`
 forks the workers (which inherit every registered object copy-on-write),
-and each subsequent run only ships job descriptors.  Streaming campaign
-scenarios decompose into **chunk-level** work units riding the existing
-streaming chunk pipeline, so the load balances across uneven scenarios
-instead of tail-stalling on the slowest one; trace matrices and result
-frame columns come back over per-worker shared-memory rings
-(:mod:`repro.serve.shm`) instead of pickle.
+and each subsequent run only ships job descriptors.  On a persistent pool,
+streaming campaign scenarios decompose into **chunk-level** work units
+riding the existing streaming chunk pipeline, so the load balances across
+uneven scenarios instead of tail-stalling on the slowest one; trace
+matrices and result frame columns come back over per-worker shared-memory
+rings (:mod:`repro.serve.shm`) instead of pickle.  The store
+open/resume/spill/merge/finalize logic of both run kinds lives here only.
 
 Determinism is the hard invariant: chunk generation is a pure function of
 (scenario, range) — noise draws are pinned to global trace indices — and
 every accumulator update happens *here*, in the scheduler, in stream
-order (out-of-order arrivals are buffered).  Serial, pooled and
-service-scheduled runs therefore produce byte-identical merged store
+order (out-of-order arrivals are buffered).  Inline, pooled and
+persistent-service runs therefore produce byte-identical merged store
 frames, which ``benchmarks/bench_serve_scaling.py`` gates.
 
 Fault tolerance: workers claim jobs before executing them and heartbeat
@@ -31,11 +37,12 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from queue import Empty
 from typing import Dict, List, Optional, Set
 
 from ..obs.telemetry import current
+from ..store import CampaignFrame, CampaignStore
 from .jobs import (
     ATTACK_STREAM,
     BEAT,
@@ -61,7 +68,8 @@ class ServeError(RuntimeError):
 
 @dataclass
 class ServiceConfig:
-    """Knobs of the campaign execution service."""
+    """Knobs of the campaign execution service (``workers=0`` is the
+    inline executor)."""
 
     workers: int = 2
     slot_bytes: int = 8 << 20
@@ -90,7 +98,9 @@ class _WorkerHandle:
 
 
 class CampaignService:
-    """A persistent worker pool executing campaign and sweep runs.
+    """The dispatcher of campaign and sweep runs: a forked worker pool —
+    persistent, or started for one run — or, at ``workers=0``, the inline
+    executor.
 
     Usage::
 
@@ -102,14 +112,14 @@ class CampaignService:
 
     Equivalently, pass ``service=service`` to ``campaign.run(...)`` /
     ``sweep.run(...)`` directly.  Results are byte-identical to serial
-    runs of the same arguments.
+    runs of the same arguments (which go through the inline executor).
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None, *,
                  fault_injection: Optional[FaultInjection] = None):
         self.config = config if config is not None else ServiceConfig()
-        if self.config.workers < 1:
-            raise ServeError(f"need at least one worker, "
+        if self.config.workers < 0:
+            raise ServeError(f"workers must be >= 0, "
                              f"got {self.config.workers}")
         self._fault = fault_injection if fault_injection is not None \
             else FaultInjection()
@@ -125,6 +135,24 @@ class CampaignService:
         self._run_counter = 0
         self._job_counter = 0
         self._respawns = 0
+        # Streaming scenarios become chunk-level jobs on a persistent pool.
+        # A one-run pool streams each scenario whole inside one worker
+        # instead: that keeps the per-worker memory bound and returns only
+        # result rows, where large chunks would outgrow the shm slots.
+        self._chunk_streaming = True
+
+    @classmethod
+    def _for_run(cls, target: object, workers: int,
+                 units: int) -> "CampaignService":
+        """The one-run service behind ``target.run(workers=N)``.
+
+        ``N`` forked workers, capped at the grid's ``units`` (scenarios or
+        points); the inline executor when that leaves at most one.
+        """
+        pool = min(workers, units)
+        service = cls(ServiceConfig(workers=pool if pool > 1 else 0))
+        service._chunk_streaming = False
+        return service.register(type(target).__name__, target)
 
     # -------------------------------------------------------------- lifecycle
     def register(self, name: str, target: object) -> "CampaignService":
@@ -149,25 +177,38 @@ class CampaignService:
     def start(self) -> "CampaignService":
         if self._started:
             raise ServeError("service already started")
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise ServeError("the campaign service needs the fork start "
-                             "method; run the campaign serially instead")
-        self._context = multiprocessing.get_context("fork")
-        self._job_queue = self._context.Queue()
-        self._result_queue = self._context.Queue()
+        workers = self.config.workers
+        if workers and "fork" not in multiprocessing.get_all_start_methods():
+            logger.info("fork unavailable on this platform; the campaign "
+                        "service executes its jobs inline")
+            workers = 0
         self._started = True
-        for worker_id in range(self.config.workers):
-            self._spawn_worker(worker_id, 0)
+        if workers:
+            self._context = multiprocessing.get_context("fork")
+            self._job_queue = self._context.Queue()
+            self._result_queue = self._context.Queue()
+            for worker_id in range(workers):
+                self._spawn_worker(worker_id, 0)
         logger.info("campaign service started: %d workers, %d targets",
-                    self.config.workers, len(self._targets))
+                    workers, len(self._targets))
         return self
 
     def shutdown(self) -> None:
         if not self._started:
             return
-        for handle in self._workers.values():
-            if handle is not None and handle.process.is_alive():
-                self._job_queue.put(None)
+        if self._workers:
+            self._stop_pool()
+        self._started = False
+        logger.info("campaign service stopped")
+
+    def _stop_pool(self) -> None:
+        # Count first, then send: any worker may take any sentinel, so a
+        # liveness check between puts can miss a worker that just exited
+        # on its sibling's sentinel and leave the sibling without one.
+        alive = [handle for handle in self._workers.values()
+                 if handle is not None and handle.process.is_alive()]
+        for _handle in alive:
+            self._job_queue.put(None)
         for handle in self._workers.values():
             if handle is None:
                 continue
@@ -184,8 +225,6 @@ class CampaignService:
             queue.cancel_join_thread()
         self._workers.clear()
         self._rings.clear()
-        self._started = False
-        logger.info("campaign service stopped")
 
     def __enter__(self) -> "CampaignService":
         if not self._started:
@@ -256,10 +295,6 @@ class CampaignService:
         for spec in self._active_specs.values():
             ctrl.put(spec)
         return handle
-
-    def _alive_workers(self) -> List[_WorkerHandle]:
-        return [handle for handle in self._workers.values()
-                if handle is not None and handle.process.is_alive()]
 
     def _on_worker_death(self, handle: _WorkerHandle, claimed: dict,
                          jobs: dict, attempts: dict) -> None:
@@ -379,28 +414,35 @@ class CampaignService:
 
         ``on_payload(job, payload, worker_ref)`` applies one worker result;
         ``inline_execute(job)`` computes-and-applies a job in this process
-        (the degraded path when the whole pool is gone).  Raises
-        :class:`ServeError` on job errors or retry exhaustion.
+        — every job of a 0-worker service, in job-id order, and the
+        remaining jobs when the whole pool is gone (``serve.degraded``).
+        Raises :class:`ServeError` on job errors or retry exhaustion.
         """
         if not jobs:
             return
-        config = self.config
         telemetry = current()
+        telemetry.count("serve.jobs", len(jobs))
+        if not self._workers:
+            for job_id in sorted(jobs):
+                inline_execute(jobs[job_id])
+            return
+        config = self.config
         pending: Set[int] = set(jobs)
         done: Set[int] = set()
         attempts = {job_id: 0 for job_id in jobs}
         claimed: Dict[int, tuple] = {}
         for job_id in sorted(jobs):
             self._job_queue.put(jobs[job_id])
-        telemetry.count("serve.jobs", len(jobs))
         last_progress = time.monotonic()
         while pending:
             # Reap the dead (accounting, requeues, respawns) before deciding
-            # whether any pool is left to wait on.
+            # whether any pool is left to wait on.  Only reaped handles
+            # count as gone: a worker that dies after this health check is
+            # reaped (and its claims requeued) on the next iteration.
             now = time.monotonic()
             if self._check_worker_health(now, claimed, jobs, attempts):
                 last_progress = now
-            if not self._alive_workers():
+            if all(handle is None for handle in self._workers.values()):
                 telemetry.count("serve.degraded")
                 logger.warning("no workers left; executing %d remaining "
                                "job(s) inline", len(pending))
@@ -455,67 +497,95 @@ class CampaignService:
                     self._requeue(job_id, jobs, attempts)
                 last_progress = now
 
+    # ----------------------------------------------------------------- stores
+    @staticmethod
+    def _open_store(store, kind: str, keys: List[str], fingerprint: str,
+                    metadata: Optional[Dict[str, str]] = None):
+        """Open (or resume) a run's store: ``(store, pending indices)``."""
+        opened = CampaignStore.open(store, kind=kind, scenario_keys=keys,
+                                    fingerprint=fingerprint,
+                                    metadata=metadata)
+        done = set(opened.completed_keys())
+        if done:
+            logger.info("%s store resume: %d/%d units already complete",
+                        kind, len(done), len(keys))
+        return opened, [index for index, key in enumerate(keys)
+                        if key not in done]
+
+    @staticmethod
+    def _finalize_store(opened, table_kinds: Dict[str, str],
+                        keys: List[str], written: Dict[str, dict]) -> dict:
+        """Merge every shard in key order, persist the merged tables (plus
+        the still-open run's span tree) and return the merged frames."""
+        merged = opened.merge_tables(table_kinds, keys=keys, cache=written)
+        tables = dict(merged)
+        telemetry = current()
+        if telemetry.enabled:
+            from ..obs.export import telemetry_frame
+
+            tables["telemetry"] = telemetry_frame(telemetry.snapshot())
+        opened.finalize(tables)
+        return merged
+
     # ------------------------------------------------------ campaign execution
     def _execute_campaign(self, campaign, scenarios, plaintexts, seed,
                           options, store=None):
         """Scheduled counterpart of ``AttackCampaign.run``'s dispatch block
-        (called by it, inside the run's telemetry span)."""
+        (called by it, inside the run's telemetry span).
+
+        Keys and the grid fingerprint are only built where something
+        consumes them: the store manifest or the pool workers' plans.
+        """
         from ..core.flow import CampaignResult
-        from ..store import CampaignStore
 
         self._require_started()
         name = self._name_of(campaign)
-        telemetry = current()
-        keys = campaign._scenario_keys(scenarios)
-        fingerprint = campaign._grid_fingerprint(keys, plaintexts, seed,
-                                                 options)
-        spec = RunSpec(
-            run_id=self._next_run_id(), name=name, kind="campaign",
-            seed=seed,
-            plaintexts=tuple(tuple(int(byte) for byte in block)
-                             for block in plaintexts),
-            compute_disclosure=options["compute_disclosure"],
-            streaming=options["streaming"],
-            chunk_size=options["chunk_size"],
-            store=None if store is None else str(store),
-            fingerprint=fingerprint,
-            record_telemetry=telemetry.enabled)
-        campaign_store = None
-        pending_indices = list(range(len(scenarios)))
+        pooled = bool(self._workers)
+        run_id = self._next_run_id()
+        keys = fingerprint = campaign_store = None
+        pending = list(range(len(scenarios)))
+        if pooled or store is not None:
+            keys = campaign._scenario_keys(scenarios)
+            fingerprint = campaign._grid_fingerprint(keys, plaintexts, seed,
+                                                     options)
         if store is not None:
-            campaign_store = CampaignStore.open(
-                store, kind="campaign", scenario_keys=keys,
-                fingerprint=fingerprint)
-            done_keys = set(campaign_store.completed_keys())
-            pending_indices = [index for index, key in enumerate(keys)
-                               if key not in done_keys]
-            if done_keys:
-                logger.info("service store resume: %d/%d scenarios already "
-                            "complete, %d to run", len(done_keys), len(keys),
-                            len(pending_indices))
-        self._broadcast_spec(spec)
+            duplicates = sorted({key for key in keys if keys.count(key) > 1})
+            if duplicates:
+                raise ValueError(
+                    f"duplicate scenario keys {duplicates}: every "
+                    "(noise, design) pair must be unique to spill to a store")
+            campaign_store, pending = self._open_store(store, "campaign",
+                                                       keys, fingerprint)
+        if pooled:
+            self._broadcast_spec(RunSpec(
+                run_id=run_id, name=name, kind="campaign", seed=seed,
+                plaintexts=tuple(tuple(int(byte) for byte in block)
+                                 for block in plaintexts),
+                compute_disclosure=options["compute_disclosure"],
+                keep_results=options["keep_results"],
+                streaming=options["streaming"],
+                chunk_size=options["chunk_size"],
+                store=None if store is None else str(store),
+                fingerprint=fingerprint,
+                record_telemetry=current().enabled))
+        # Chunk-level jobs only on a persistent pool; elsewhere a streaming
+        # scenario runs whole through its own bounded-memory chunk loop.
+        execute = (self._run_campaign_chunks
+                   if options["streaming"] and pooled
+                   and self._chunk_streaming
+                   else self._run_campaign_scenarios)
         try:
-            if options["streaming"]:
-                completed, written = self._run_campaign_chunks(
-                    campaign, scenarios, plaintexts, options, spec,
-                    pending_indices, campaign_store, keys)
-            else:
-                completed, written = self._run_campaign_scenarios(
-                    campaign, scenarios, plaintexts, options, spec,
-                    pending_indices, campaign_store, keys)
+            completed, written = execute(campaign, scenarios, plaintexts,
+                                         options, run_id, pending,
+                                         campaign_store, keys)
         finally:
-            self._active_specs.pop(spec.run_id, None)
-        telemetry.record_rss()
+            self._active_specs.pop(run_id, None)
+        current().record_rss()
         if campaign_store is not None:
-            merged = campaign_store.merge_tables(
-                {"rows": "campaign", "assessments": "assessment"}, keys=keys,
-                cache=written)
-            tables = dict(merged)
-            if telemetry.enabled:
-                from ..obs.export import telemetry_frame
-
-                tables["telemetry"] = telemetry_frame(telemetry.snapshot())
-            campaign_store.finalize(tables)
+            merged = self._finalize_store(
+                campaign_store,
+                {"rows": "campaign", "assessments": "assessment"}, keys,
+                written)
             return CampaignResult(rows=merged["rows"].to_rows(),
                                   assessments=merged["assessments"].to_rows())
         result = CampaignResult()
@@ -527,8 +597,6 @@ class CampaignService:
 
     def _spill_scenario(self, campaign_store, keys, index, rows,
                         assessment_rows, written) -> None:
-        from ..store import CampaignFrame
-
         tables = {
             "rows": CampaignFrame.from_rows(rows, kind="campaign"),
             "assessments": CampaignFrame.from_rows(assessment_rows,
@@ -538,7 +606,7 @@ class CampaignService:
         written[keys[index]] = tables
 
     def _run_campaign_chunks(self, campaign, scenarios, plaintexts, options,
-                             spec, pending_indices, campaign_store, keys):
+                             run_id, pending_indices, campaign_store, keys):
         """Streaming scenarios as chunk-level jobs, accumulated in order."""
         from ..core.flow import _StreamingScenarioState
 
@@ -596,7 +664,7 @@ class CampaignService:
                 assessments=options["assessments"],
                 tvla_schedule=options["tvla_schedule"],
                 compute_disclosure=options["compute_disclosure"],
-                keep_results=False)
+                keep_results=options["keep_results"])
             totals = {}
             if state.needs_attack_stream and plaintexts:
                 totals[ATTACK_STREAM] = len(plaintexts)
@@ -611,7 +679,7 @@ class CampaignService:
                 for start in range(0, total, chunk_size):
                     job_id = self._next_job_id()
                     jobs[job_id] = ChunkJob(
-                        job_id=job_id, run_id=spec.run_id, scenario=index,
+                        job_id=job_id, run_id=run_id, scenario=index,
                         stream=stream, start=start,
                         stop=min(start + chunk_size, total),
                         noise_base=noise_base)
@@ -639,10 +707,10 @@ class CampaignService:
         return completed, written
 
     def _run_campaign_scenarios(self, campaign, scenarios, plaintexts,
-                                options, spec, pending_indices,
+                                options, run_id, pending_indices,
                                 campaign_store, keys):
-        """Non-streaming scenarios as whole-scenario jobs; workers spill
-        store shards directly and ship back the manifest receipt."""
+        """Whole-scenario jobs: inline, or on the pool (where workers spill
+        store shards directly and ship back the manifest receipt)."""
         telemetry = current()
         completed: Dict[int, tuple] = {}
         written: Dict[str, dict] = {}
@@ -651,7 +719,7 @@ class CampaignService:
         for index in pending_indices:
             job_id = self._next_job_id()
             jobs[job_id] = ScenarioJob(
-                job_id=job_id, run_id=spec.run_id, scenario=index,
+                job_id=job_id, run_id=run_id, scenario=index,
                 shard_key=keys[index] if campaign_store is not None else None)
 
         def on_payload(job, payload, worker_ref):
@@ -660,6 +728,8 @@ class CampaignService:
                 # receipt is the scheduler's (single manifest owner's) job.
                 campaign_store.commit_shard(payload["record"])
                 completed[job.scenario] = ([], [])
+            elif "rows" in payload:
+                completed[job.scenario] = payload["rows"]
             else:
                 tables = {name: self._unpack_frame(worker_ref, frame_payload)
                           for name, frame_payload
@@ -691,73 +761,63 @@ class CampaignService:
     def _execute_sweep(self, sweep, points, design, store=None):
         """Scheduled counterpart of ``PlacementSweep.run``'s dispatch."""
         from ..pnr.sweep import SweepResult
-        from ..store import CampaignFrame, CampaignStore
 
         self._require_started()
         name = self._name_of(sweep)
         telemetry = current()
-        fingerprint = sweep._grid_fingerprint(points, design)
-        spec = RunSpec(run_id=self._next_run_id(), name=name, kind="sweep",
-                       store=None if store is None else str(store),
-                       fingerprint=fingerprint,
-                       record_telemetry=telemetry.enabled)
+        pooled = bool(self._workers)
+        run_id = self._next_run_id()
         keys = [f"point-{index:04d}" for index in range(len(points))]
-        sweep_store = None
+        fingerprint = sweep_store = None
         pending_indices = list(range(len(points)))
+        if pooled or store is not None:
+            fingerprint = sweep._grid_fingerprint(points, design)
         if store is not None:
-            sweep_store = CampaignStore.open(
-                store, kind="sweep", scenario_keys=keys,
-                fingerprint=fingerprint,
+            sweep_store, pending_indices = self._open_store(
+                store, "sweep", keys, fingerprint,
                 metadata={"flow": sweep.flow, "design": design})
-            done_keys = set(sweep_store.completed_keys())
-            pending_indices = [index for index, key in enumerate(keys)
-                               if key not in done_keys]
+        if pooled:
+            self._broadcast_spec(RunSpec(
+                run_id=run_id, name=name, kind="sweep",
+                store=None if store is None else str(store),
+                fingerprint=fingerprint,
+                record_telemetry=telemetry.enabled))
         rows: Dict[int, object] = {}
         written: Dict[str, dict] = {}
         trees: List[tuple] = []
         jobs: Dict[int, object] = {}
-        self._broadcast_spec(spec)
-        try:
-            for index in pending_indices:
-                job_id = self._next_job_id()
-                jobs[job_id] = SweepJob(job_id=job_id, run_id=spec.run_id,
-                                        point=index)
+        for index in pending_indices:
+            job_id = self._next_job_id()
+            jobs[job_id] = SweepJob(job_id=job_id, run_id=run_id,
+                                    point=index)
 
-            def spill_point(index, row):
+        def apply_row(index, row):
+            rows[index] = row
+            if sweep_store is not None:
                 tables = {"rows": CampaignFrame.from_rows([row],
                                                           kind="sweep")}
                 sweep_store.write_shard(keys[index], tables)
                 written[keys[index]] = tables
 
-            def on_payload(job, payload, worker_ref):
-                rows[job.point] = payload["row"]
-                if sweep_store is not None:
-                    spill_point(job.point, payload["row"])
-                tree = payload.get("telemetry")
-                if tree is not None:
-                    trees.append((job.point, worker_ref[0], tree))
+        def on_payload(job, payload, worker_ref):
+            apply_row(job.point, payload["row"])
+            tree = payload.get("telemetry")
+            if tree is not None:
+                trees.append((job.point, worker_ref[0], tree))
 
-            def inline_execute(job):
-                row = sweep._run_point(points[job.point])
-                rows[job.point] = row
-                if sweep_store is not None:
-                    spill_point(job.point, row)
+        def inline_execute(job):
+            apply_row(job.point, sweep._run_point(points[job.point]))
 
+        try:
             self._drive(jobs, on_payload, inline_execute)
         finally:
-            self._active_specs.pop(spec.run_id, None)
+            self._active_specs.pop(run_id, None)
         for index, worker_id, tree in sorted(trees, key=lambda t: t[0]):
             telemetry.adopt(tree, shard=index, worker=worker_id)
         telemetry.record_rss()
         if sweep_store is not None:
-            merged = sweep_store.merge_tables({"rows": "sweep"}, keys=keys,
-                                              cache=written)
-            tables = dict(merged)
-            if telemetry.enabled:
-                from ..obs.export import telemetry_frame
-
-                tables["telemetry"] = telemetry_frame(telemetry.snapshot())
-            sweep_store.finalize(tables)
+            merged = self._finalize_store(sweep_store, {"rows": "sweep"},
+                                          keys, written)
             return SweepResult(flow=sweep.flow, design=design,
                                rows=merged["rows"].to_rows())
         return SweepResult(flow=sweep.flow, design=design,

@@ -1,15 +1,17 @@
 """Tests of the campaign execution service (repro.serve).
 
-The contract under test is the serve invariant: serial, pooled
-(``workers=N``) and service-scheduled runs of the same grid produce
-**byte-identical** rows and store frames — under chunk-level scheduling,
-out-of-order completion, worker SIGKILL mid-scenario, heartbeat-timeout
-requeue, and full degradation to inline execution.  Plus the transport
-(shared-memory slot rings), the scheduling seams (empty grids, the
-run-once DRC pre-flight), and the service lifecycle errors.
+The contract under test is the serve invariant: serial (the inline
+executor), pooled (``workers=N``, a one-run service) and persistent-service
+runs of the same grid produce **byte-identical** rows and store frames —
+under chunk-level scheduling, out-of-order completion, worker SIGKILL
+mid-scenario, heartbeat-timeout requeue, and full degradation to inline
+execution.  Plus the transport (shared-memory slot rings), the scheduling
+seams (fully resumed grids, duplicate labels, the run-once DRC
+pre-flight), and the service lifecycle errors.
 """
 
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -253,6 +255,7 @@ class TestWorkerFailure:
 
     def test_worker_error_surfaces_as_serve_error(self):
         campaign = _grid()
+        started = time.monotonic()
         with _service(campaign) as service:
             # Reconfiguring the grid after start changes the fingerprint:
             # every worker rejects the spec and the run must fail loudly.
@@ -260,24 +263,82 @@ class TestWorkerFailure:
             with pytest.raises(ServeError, match="failed in worker"):
                 service.run("grid", trace_count=64, streaming=True,
                             chunk_size=24, compute_disclosure=False)
+        # A worker whose plan failed fails the run's later jobs at once,
+        # so shutdown never waits out a join timeout on a blocked worker.
+        assert time.monotonic() - started < 3.0
 
 
 # ------------------------------------------------------- scheduling seams
 class TestSchedulingSeams:
-    def test_empty_scenario_list_yields_nothing(self):
+    def test_empty_scenario_list_yields_nothing(self, tmp_path):
+        # A fully resumed store re-run leaves no scenario to schedule: the
+        # pooled run must schedule nothing and return the same table.
         campaign = _grid()
-        plaintexts = [[0] * 16]
-        _scenarios, options = campaign._plan_run(
-            plaintexts, 0, compute_disclosure=False, keep_results=False,
-            streaming=False, chunk_size=None)
-        assert list(campaign._run_sharded_iter([], plaintexts, 4,
-                                               options)) == []
+        kwargs = dict(trace_count=32, compute_disclosure=False,
+                      store=tmp_path / "st", workers=2)
+        first = campaign.run(**kwargs)
+        frames = _store_bytes(tmp_path / "st")
+        telemetry = Telemetry()
+        resumed = campaign.run(telemetry=telemetry, **kwargs)
+        assert telemetry.snapshot().total("serve.jobs") == 0
+        assert resumed.table() == first.table()
+        assert _store_bytes(tmp_path / "st") == frames
 
-    def test_empty_sweep_grid_yields_nothing(self):
+    def test_empty_sweep_grid_yields_nothing(self, tmp_path):
+        from repro.asyncaes.netlist_gen import build_aes_netlist
         from repro.pnr.sweep import PlacementSweep
 
-        sweep = PlacementSweep(netlist_factory=lambda: None)
-        assert list(sweep._run_sharded_iter([], 4)) == []
+        sweep = PlacementSweep(
+            netlist_factory=lambda: build_aes_netlist(word_width=4,
+                                                      detail=0.15),
+            effort=0.1, initial_acceptance=(0.3, 0.5), cooling=(0.7,))
+        first = sweep.run(workers=2, store=tmp_path / "st")
+        frames = _store_bytes(tmp_path / "st")
+        telemetry = Telemetry()
+        resumed = sweep.run(workers=2, store=tmp_path / "st",
+                            telemetry=telemetry)
+        assert telemetry.snapshot().total("serve.jobs") == 0
+        assert resumed.as_table() == first.as_table()
+        assert _store_bytes(tmp_path / "st") == frames
+
+    def test_duplicate_labels_run_without_a_store(self, tmp_path):
+        # Scenario keys need to be unique only to name store shards.
+        campaign = _grid(noises=1, costs=(1, 1))
+        kwargs = dict(trace_count=32, compute_disclosure=False, drc="off")
+        serial = campaign.run(**kwargs)
+        assert len(serial.rows) == 2
+        assert campaign.run(workers=2, **kwargs).rows == serial.rows
+        with pytest.raises(ValueError, match="duplicate scenario keys"):
+            campaign.run(store=tmp_path / "st", **kwargs)
+
+    def test_inline_run_builds_no_pool_artifacts(self, monkeypatch):
+        import repro.serve.scheduler as scheduler
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("built for an inline run without a store")
+
+        # Keys, fingerprints and specs only serve stores and pool workers.
+        monkeypatch.setattr(AttackCampaign, "_scenario_keys",
+                            staticmethod(forbidden))
+        monkeypatch.setattr(AttackCampaign, "_grid_fingerprint", forbidden)
+        monkeypatch.setattr(scheduler, "RunSpec", forbidden)
+        result = _grid().run(trace_count=32, compute_disclosure=False)
+        assert len(result.rows) == 4
+
+    def test_one_run_pool_streams_whole_scenarios(self):
+        # A one-run pool streams each scenario whole inside a worker, as
+        # the serial run does: one job per scenario, no chunk shipped, the
+        # serial span tree.
+        kwargs = dict(trace_count=64, streaming=True, chunk_size=16,
+                      compute_disclosure=False)
+        serial_tm, pooled_tm = Telemetry(), Telemetry()
+        serial = _grid().run(telemetry=serial_tm, **kwargs)
+        pooled = _grid().run(workers=2, telemetry=pooled_tm, **kwargs)
+        assert pooled.table() == serial.table()
+        root = pooled_tm.snapshot()
+        assert root.total("serve.jobs") == 4
+        assert root.total("serve.shm_bytes") == 0
+        assert root.shape() == serial_tm.snapshot().shape()
 
     def test_drc_preflight_runs_once_under_sharding(self):
         from repro.drc import default_registry
