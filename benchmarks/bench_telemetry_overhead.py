@@ -6,7 +6,10 @@ twice: once under the default no-op collector and once recording into a
 :class:`repro.obs.Telemetry`.  Three gates:
 
 * overhead — the telemetry-enabled run costs at most ``--max-overhead``
-  (default 5 %) over the disabled run, best of ``--repeats`` per leg;
+  (default 5 %) over the disabled run, best of ``--repeats`` per leg; the
+  legs are interleaved run by run, alternating which goes first, so
+  warm-up and slow spells of the machine hit both alike (the spread of
+  each leg is printed and recorded);
 * identity — the campaign tables of the two runs are identical, so
   recording never perturbs results;
 * coverage — a sharded (``--workers``) store-backed run produces a span
@@ -78,31 +81,49 @@ def _campaign():
     return campaign
 
 
-def _best_of(repeats, run):
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = run()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+def _timed(run):
+    start = time.perf_counter()
+    result = run()
+    return time.perf_counter() - start, result
+
+
+def _spread(times) -> str:
+    """Best / median / worst of one leg, and the worst-to-best ratio."""
+    ordered = sorted(times)
+    return (f"best {ordered[0]:.3f} s, median "
+            f"{ordered[len(ordered) // 2]:.3f} s, worst {ordered[-1]:.3f} s "
+            f"(spread {ordered[-1] / ordered[0] - 1.0:+.1%})")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--traces", type=int, default=400)
-    parser.add_argument("--repeats", type=int, default=3)
+    # Interleaved runs per leg.  A 400-trace run takes ~0.1 s, and on a
+    # shared 2-CPU box single runs swing by ±40 %; the best of 25 per leg
+    # stays within a few percent where the best of 3 did not.
+    parser.add_argument("--repeats", type=int, default=25)
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--max-overhead", type=float, default=0.05)
     args = parser.parse_args()
 
     # ------------------------------------------------------ overhead gate
     # Serial legs so the fork pool's scheduling jitter does not drown the
-    # microseconds under test.
-    disabled_s, disabled = _best_of(
-        args.repeats, lambda: _campaign().run(args.traces, seed=3))
-    enabled_s, enabled = _best_of(
-        args.repeats, lambda: _campaign().run(args.traces, seed=3,
-                                              telemetry=Telemetry()))
+    # microseconds under test.  The legs alternate run by run, and which of
+    # them goes first alternates too, so warm-up lands on both.
+    legs = {
+        "disabled": lambda: _campaign().run(args.traces, seed=3),
+        "enabled": lambda: _campaign().run(args.traces, seed=3,
+                                           telemetry=Telemetry()),
+    }
+    times = {name: [] for name in legs}
+    results = {}
+    for index in range(args.repeats):
+        order = list(legs) if index % 2 == 0 else list(reversed(legs))
+        for name in order:
+            seconds, results[name] = _timed(legs[name])
+            times[name].append(seconds)
+    disabled_s, disabled = min(times["disabled"]), results["disabled"]
+    enabled_s, enabled = min(times["enabled"]), results["enabled"]
     overhead = enabled_s / disabled_s - 1.0
     identical = enabled.table() == disabled.table()
 
@@ -131,9 +152,9 @@ def main() -> None:
     scenarios = len(root.find("campaign.scenario"))
     lines = [
         f"Telemetry overhead ({args.traces} traces, {scenarios} scenarios, "
-        f"best of {args.repeats}):",
-        f"  disabled run : {disabled_s:8.3f} s",
-        f"  recording run: {enabled_s:8.3f} s",
+        f"best of {args.repeats} interleaved runs per leg):",
+        f"  disabled run : {_spread(times['disabled'])}",
+        f"  recording run: {_spread(times['enabled'])}",
         f"  overhead     : {overhead:+8.2%}  "
         f"(bound {args.max_overhead:.0%})",
         f"  tables identical (serial + {args.workers}-worker store run): "
@@ -153,7 +174,9 @@ def main() -> None:
             "telemetry_table_persisted": len(stored_rows) > 0,
         },
         metrics={"overhead": overhead, "disabled_s": disabled_s,
-                 "enabled_s": enabled_s,
+                 "enabled_s": enabled_s, "repeats": args.repeats,
+                 "disabled_times_s": times["disabled"],
+                 "enabled_times_s": times["enabled"],
                  "span_count": len(list(root.walk()))})
 
     assert identical and sharded_identical, \

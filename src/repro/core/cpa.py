@@ -14,19 +14,21 @@ difference of set means.  A real evaluator's next rungs are:
   countermeasures (the product of two shares' leakages correlates with the
   unmasked value).
 
-Both are expressed through one *attack-kernel* protocol — ``statistics``
+Both are expressed through one *attack-kernel* protocol: ``statistics``
 produces the full ``(n_guesses, n_columns)`` distinguisher matrix in one
-vectorized pass, ``prefix_peaks`` walks growing trace prefixes incrementally
-— so :func:`run_attack`, :func:`repro.core.dpa.messages_to_disclosure` and
-the :class:`repro.core.flow.AttackCampaign` orchestrator treat every attack
-of the suite uniformly.  Everything is linear algebra over the trace matrix:
-the correlation of all 256 guesses with all samples is two centered matmuls.
+vectorized pass (:func:`run_attack`), and each kernel maps to a streaming
+state of :mod:`repro.assess.streaming` that
+:func:`repro.core.dpa.messages_to_disclosure` and the
+:class:`repro.core.flow.AttackCampaign` orchestrator feed, whether the traces
+arrive as one whole-matrix chunk or as a bounded-memory stream.  Everything
+is linear algebra over the trace matrix: the correlation of all 256 guesses
+with all samples is two centered matmuls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from .dpa import (
     GuessResult,
     TraceSet,
     _bias_matrix,
-    dom_prefix_peaks,
 )
 from .power_model import LeakageModel, SelectionBitModel, leakage_matrix
 from .selection import SelectionFunction, selection_matrix
@@ -48,9 +49,10 @@ class AttackKernel(Protocol):
 
     ``statistics`` maps the aligned ``(n_traces, n_samples)`` matrix plus the
     plaintexts to the ``(n_guesses, n_columns)`` distinguisher matrix (bias
-    signals for DPA, correlation coefficients for CPA, …); ``prefix_peaks``
-    yields the per-guess peak distinguisher at every prefix boundary of a
-    messages-to-disclosure sweep, incrementally where the statistic allows.
+    signals for DPA, correlation coefficients for CPA, …).  Disclosure sweeps
+    and campaigns do not call it: they run the kernel's streaming state
+    (:func:`repro.assess.streaming.streaming_state`), which a custom kernel
+    supplies through ``stream_state(guess_space)``.
     """
 
     name: str
@@ -61,13 +63,6 @@ class AttackKernel(Protocol):
     def statistics(self, matrix: np.ndarray,
                    plaintexts: Sequence[Sequence[int]],
                    guess_space: Sequence[int]) -> np.ndarray:
-        ...
-
-    def prefix_peaks(self, matrix: np.ndarray,
-                     plaintexts: Sequence[Sequence[int]],
-                     guess_space: Sequence[int],
-                     boundaries: Sequence[int]
-                     ) -> Iterator[Tuple[int, np.ndarray]]:
         ...
 
 
@@ -99,65 +94,7 @@ def pearson_statistics(matrix: np.ndarray, hypothesis: np.ndarray) -> np.ndarray
                      out=np.zeros_like(covariance), where=denominator > 0)
 
 
-def cpa_prefix_peaks(matrix: np.ndarray, hypothesis: np.ndarray,
-                     boundaries: Sequence[int]
-                     ) -> Iterator[Tuple[int, np.ndarray]]:
-    """Per-guess correlation peaks at every prefix boundary, incrementally.
-
-    Pearson's coefficient over a prefix only needs five running sums (trace
-    sums and squares per sample, hypothesis sums and squares per guess, and
-    the cross-product matrix), each updatable with one small matmul over the
-    newly added slice — the whole sweep costs a single full CPA instead of
-    one CPA per prefix size.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    hypothesis = np.asarray(hypothesis, dtype=float)
-    n_guesses, n_samples = hypothesis.shape[0], matrix.shape[1]
-    trace_sum = np.zeros(n_samples)
-    trace_sq = np.zeros(n_samples)
-    model_sum = np.zeros(n_guesses)
-    model_sq = np.zeros(n_guesses)
-    cross = np.zeros((n_guesses, n_samples))
-    previous = 0
-    for count in boundaries:
-        segment = slice(previous, count)
-        trace_sum += matrix[segment].sum(axis=0)
-        trace_sq += (matrix[segment] ** 2).sum(axis=0)
-        model_sum += hypothesis[:, segment].sum(axis=1)
-        model_sq += (hypothesis[:, segment] ** 2).sum(axis=1)
-        cross += hypothesis[:, segment] @ matrix[segment]
-        previous = count
-
-        covariance = count * cross - model_sum[:, None] * trace_sum[None, :]
-        trace_var = count * trace_sq - trace_sum ** 2
-        model_var = count * model_sq - model_sum ** 2
-        denominator = np.sqrt(
-            np.clip(model_var, 0.0, None)[:, None]
-            * np.clip(trace_var, 0.0, None)[None, :]
-        )
-        correlation = np.divide(covariance, denominator,
-                                out=np.zeros_like(covariance),
-                                where=denominator > 0)
-        yield count, np.abs(correlation).max(axis=1)
-
-
 # ----------------------------------------------------------------- kernels
-def _memoized(kernel, key: tuple, compute):
-    """One-slot memo on a frozen kernel instance.
-
-    An attack over a trace set touches its hypothesis/bit matrix twice — once
-    for the full-set ranking, once for the disclosure sweep — so kernels keep
-    the last computed matrix and return it when called again with equal
-    inputs (the equality check is trivially cheap next to the rebuild).
-    """
-    cached = getattr(kernel, "_memo", None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    value = compute()
-    object.__setattr__(kernel, "_memo", (key, value))
-    return value
-
-
 @dataclass(frozen=True)
 class DpaKernel:
     """The Section-IV difference-of-means attack as a kernel."""
@@ -171,19 +108,10 @@ class DpaKernel:
     def guesses(self) -> Sequence[int]:
         return self.selection.guesses()
 
-    def _bits(self, plaintexts, guess_space) -> np.ndarray:
-        return _memoized(
-            self, (plaintexts, list(guess_space)),
-            lambda: selection_matrix(self.selection, plaintexts, guess_space),
-        )
-
     def statistics(self, matrix, plaintexts, guess_space) -> np.ndarray:
-        bias, _ = _bias_matrix(matrix, self._bits(plaintexts, guess_space))
+        bias, _ = _bias_matrix(
+            matrix, selection_matrix(self.selection, plaintexts, guess_space))
         return bias
-
-    def prefix_peaks(self, matrix, plaintexts, guess_space, boundaries):
-        return dom_prefix_peaks(matrix, self._bits(plaintexts, guess_space),
-                                boundaries)
 
 
 @dataclass(frozen=True)
@@ -199,20 +127,9 @@ class CpaKernel:
     def guesses(self) -> Sequence[int]:
         return self.model.guesses()
 
-    def _hypothesis(self, plaintexts, guess_space) -> np.ndarray:
-        return _memoized(
-            self, (plaintexts, list(guess_space)),
-            lambda: leakage_matrix(self.model, plaintexts, guess_space),
-        )
-
     def statistics(self, matrix, plaintexts, guess_space) -> np.ndarray:
-        return pearson_statistics(matrix,
-                                  self._hypothesis(plaintexts, guess_space))
-
-    def prefix_peaks(self, matrix, plaintexts, guess_space, boundaries):
-        return cpa_prefix_peaks(matrix,
-                                self._hypothesis(plaintexts, guess_space),
-                                boundaries)
+        return pearson_statistics(
+            matrix, leakage_matrix(self.model, plaintexts, guess_space))
 
 
 def centered_product_matrix(matrix: np.ndarray, *,
@@ -227,8 +144,8 @@ def centered_product_matrix(matrix: np.ndarray, *,
     (``j == k`` is allowed — the univariate squared combining) or generated
     from every ordered pair of ``region`` columns (default: all samples) at
     most ``window`` samples apart.  The column means are those of the full
-    matrix, so prefix sweeps reuse one combined matrix (the standard
-    full-set-centering approximation).
+    matrix, so disclosure sweeps read prefixes of one combined matrix (the
+    standard full-set-centering approximation).
     """
     matrix = np.asarray(matrix, dtype=float)
     if pairs is None:
@@ -273,25 +190,16 @@ class SecondOrderKernel:
     def guesses(self) -> Sequence[int]:
         return self.inner.guesses()
 
-    def _combined(self, matrix: np.ndarray) -> np.ndarray:
-        # Keyed by identity: TraceSet.matrix() returns its cached array, so
-        # ranking and disclosure over one trace set combine samples once.
-        cached = getattr(self, "_combined_memo", None)
-        if cached is not None and cached[0] is matrix:
-            return cached[1]
+    def combine(self, matrix: np.ndarray) -> np.ndarray:
+        """The centered-product columns of the whole trace matrix."""
         combined, _ = centered_product_matrix(
             matrix, pairs=self.pairs, window=self.window, region=self.region
         )
-        object.__setattr__(self, "_combined_memo", (matrix, combined))
         return combined
 
     def statistics(self, matrix, plaintexts, guess_space) -> np.ndarray:
-        return self.inner.statistics(self._combined(matrix), plaintexts,
+        return self.inner.statistics(self.combine(matrix), plaintexts,
                                      guess_space)
-
-    def prefix_peaks(self, matrix, plaintexts, guess_space, boundaries):
-        return self.inner.prefix_peaks(self._combined(matrix), plaintexts,
-                                       guess_space, boundaries)
 
 
 def as_leakage_model(model_or_selection) -> LeakageModel:
@@ -328,9 +236,10 @@ def result_from_statistic(statistic: np.ndarray, guess_space: Sequence[int],
     """Rank key guesses from a computed ``(n_guesses, n_columns)`` statistic.
 
     The shared back half of every attack path: :func:`run_attack` feeds it
-    the kernel's in-memory distinguisher, and the streaming states of
-    :mod:`repro.assess.streaming` feed it their accumulated one — so both
-    produce structurally identical :class:`DPAResult` objects.
+    the kernel's whole-matrix distinguisher, and the campaign feeds it the
+    accumulated statistic of a streaming state of
+    :mod:`repro.assess.streaming` — so both produce structurally identical
+    :class:`DPAResult` objects.
     """
     statistic = np.asarray(statistic, dtype=float)
     if statistic.ndim != 2 or statistic.shape[0] != len(guess_space):

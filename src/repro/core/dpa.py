@@ -530,44 +530,6 @@ def _stable_rank(peaks: np.ndarray, correct_index: int) -> int:
     return 1 + better + earlier_ties
 
 
-def dom_prefix_peaks(matrix: np.ndarray, bit_matrix: np.ndarray,
-                     boundaries: Sequence[int]):
-    """Per-guess bias peaks at every prefix boundary, incrementally.
-
-    Yields ``(count, peaks)`` pairs where ``peaks[g]`` is the maximum
-    absolute bias of guess ``g`` over the first ``count`` traces.  The
-    per-guess set sums of each prefix are the running cumulative sums of the
-    previous prefix plus one small matmul over the new slice of traces — the
-    whole sweep costs a single full attack, O(N·m) per guess, instead of
-    re-running the attack from scratch at every prefix size (O(N²·m)).
-
-    This is the difference-of-means instance of the attack-kernel
-    ``prefix_peaks`` protocol; :mod:`repro.core.cpa` provides the Pearson
-    and second-order instances.
-    """
-    n_guesses, n_samples = bit_matrix.shape[0], matrix.shape[1]
-    # Running prefix sums (equation (8) numerators and set sizes).
-    sum1 = np.zeros((n_guesses, n_samples))
-    sum_all = np.zeros(n_samples)
-    counts1 = np.zeros(n_guesses)
-    previous = 0
-    for count in boundaries:
-        segment = slice(previous, count)
-        sum_all += matrix[segment].sum(axis=0)
-        sum1 += bit_matrix[:, segment].astype(float) @ matrix[segment]
-        counts1 += bit_matrix[:, segment].sum(axis=1)
-        previous = count
-
-        counts0 = count - counts1
-        valid = (counts1 > 0) & (counts0 > 0)
-        peaks = np.zeros(n_guesses)
-        if valid.any():
-            bias = ((sum_all - sum1[valid]) / counts0[valid, None]
-                    - sum1[valid] / counts1[valid, None])
-            peaks[valid] = np.abs(bias).max(axis=1)
-        yield count, peaks
-
-
 def messages_to_disclosure(traces: TraceSet, attack, correct_guess: int, *,
                            guesses: Optional[Sequence[int]] = None,
                            start: int = 16, step: int = 16,
@@ -579,42 +541,36 @@ def messages_to_disclosure(traces: TraceSet, attack, correct_guess: int, *,
     guess is ranked first and stays first for ``stable_runs`` consecutive
     prefix sizes.  Returns ``None`` when the full set never discloses the key.
 
-    ``attack`` is either a plain :class:`SelectionFunction` (the historical
-    difference-of-means sweep) or any attack kernel exposing the
-    ``prefix_peaks(matrix, plaintexts, guess_space, boundaries)`` protocol —
-    e.g. the CPA and second-order kernels of :mod:`repro.core.cpa` — so every
-    attack of the suite shares one incremental disclosure engine.
+    ``attack`` is a plain :class:`SelectionFunction` (difference of means)
+    or any attack kernel of :mod:`repro.core.cpa`.  The sweep is the
+    one-chunk case of the campaign's streaming path: the whole matrix feeds
+    the kernel's streaming state (:func:`repro.assess.streaming.fold_chunk`)
+    and a :class:`~repro.assess.streaming.DisclosureTracker` reads its peaks
+    at every prefix boundary until the key is disclosed.
     """
-    if start < 2:
-        raise DPAError("need at least 2 traces to run a DPA attack")
+    # Imported lazily: repro.assess builds on repro.core.
+    from ..assess.streaming import (
+        DisclosureTracker,
+        disclosure_boundaries,
+        fold_chunk,
+        streaming_state,
+    )
+    from ..assess.tvla import BoundarySweep
+    from .cpa import as_kernel
+
     if len(traces) == 0:
         raise DPAError("cannot attack an empty trace set")
-
-    guess_space = list(guesses) if guesses is not None else list(attack.guesses())
+    sweep = BoundarySweep(disclosure_boundaries(len(traces), start=start,
+                                                step=step))
+    kernel = as_kernel(attack)
+    guess_space = list(guesses) if guesses is not None else list(kernel.guesses())
     try:
         correct_index = guess_space.index(correct_guess)
     except ValueError:
         raise DPAError(f"guess {correct_guess:#x} was not part of the attack") from None
 
-    matrix = traces.matrix()
-    boundaries = range(start, len(traces) + 1, step)
-    prefix_peaks = getattr(attack, "prefix_peaks", None)
-    if prefix_peaks is not None:
-        sweep = prefix_peaks(matrix, traces.plaintexts(), guess_space, boundaries)
-    else:
-        bit_matrix = selection_matrix(attack, traces.plaintexts(), guess_space)
-        sweep = dom_prefix_peaks(matrix, bit_matrix, boundaries)
-
-    consecutive = 0
-    first_success: Optional[int] = None
-    for count, peaks in sweep:
-        if _stable_rank(peaks, correct_index) == 1:
-            if consecutive == 0:
-                first_success = count
-            consecutive += 1
-            if consecutive >= stable_runs:
-                return first_success
-        else:
-            consecutive = 0
-            first_success = None
-    return None
+    tracker = DisclosureTracker(correct_index, stable_runs=stable_runs)
+    fold_chunk(streaming_state(kernel, guess_space, whole_matrix=True),
+               tracker, sweep, traces.matrix(), traces.plaintexts(), 0,
+               complete=False)
+    return tracker.disclosure

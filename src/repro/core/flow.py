@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.netlist import Netlist
-from ..obs.telemetry import current, use
+from ..obs.telemetry import NULL_TELEMETRY, current, use
 from ..crypto.keys import PlaintextGenerator
 from ..electrical.noise import NoiseModel, apply_noise_matrix, apply_noise_trace
 from ..electrical.technology import HCMOS9_LIKE, Technology
@@ -36,9 +36,8 @@ from .cpa import (
     CpaKernel,
     DpaKernel,
     SecondOrderKernel,
-    run_attack,
 )
-from .dpa import DPAError, DPAResult, TraceSet, messages_to_disclosure
+from .dpa import DPAError, DPAResult, TraceSet
 from .power_model import (
     HammingDistanceModel,
     HammingWeightModel,
@@ -434,11 +433,11 @@ class AttackCampaign:
 
     The campaign is the single entry point of the end-to-end evaluation: it
     generates each design's traces once per noise level through the batched
-    trace engine (:meth:`AesPowerTraceGenerator.trace_batch`), runs the
-    vectorized multi-guess attack of :func:`repro.core.dpa.dpa_attack` for
-    every selection function, computes messages-to-disclosure incrementally,
-    and emits one comparison table — the Table-2-style flat-vs-hierarchical
-    statement, extended to arbitrary scenario grids.
+    trace engine (:meth:`AesPowerTraceGenerator.trace_batch`), feeds them to
+    the multi-guess streaming attack state of every (selection × attack)
+    pair (:mod:`repro.assess.streaming`), reads messages-to-disclosure off
+    the same pass, and emits one comparison table — the Table-2-style
+    flat-vs-hierarchical statement, extended to arbitrary scenario grids.
 
     The **trace source** is a grid dimension of its own: every netlist design
     registers with ``add_design(..., source="analytic")`` (the charge-model
@@ -464,7 +463,9 @@ class AttackCampaign:
     guesses:
         Optional common guess subset (default: each selection's full space).
     mtd_start, mtd_step, stable_runs:
-        Parameters of the messages-to-disclosure sweep.
+        Parameters of the messages-to-disclosure sweep (``mtd_start >= 2``,
+        ``mtd_step >= 1``, ``stable_runs >= 1``; checked here, before any
+        trace is generated).
     """
 
     def __init__(self, key: Optional[Sequence[int]] = None, *,
@@ -474,6 +475,13 @@ class AttackCampaign:
                  guesses: Optional[Sequence[int]] = None,
                  mtd_start: int = 16, mtd_step: int = 16,
                  stable_runs: int = 1):
+        if mtd_start < 2:
+            raise ValueError(f"mtd_start must be >= 2 (a DPA attack needs "
+                             f"two traces), got {mtd_start}")
+        if mtd_step < 1:
+            raise ValueError(f"mtd_step must be >= 1, got {mtd_step}")
+        if stable_runs < 1:
+            raise ValueError(f"stable_runs must be >= 1, got {stable_runs}")
         self.key = list(key) if key is not None else None
         self.architecture = architecture
         self.technology = technology
@@ -802,119 +810,16 @@ class AttackCampaign:
         """One shard: generate a (noise × design) trace set, run every attack
         and assessment.
 
-        The traces are generated once and shared by every (selection ×
-        attack × assessment) entry of the shard — the trace set caches its
-        sample matrix, so each additional attack costs one hypothesis matrix
-        and one matmul.  Non-specific TVLA assessments add one further
-        fixed-vs-random acquisition per scenario (their schedule is
-        incompatible with the all-random attack traces by construction).
-        """
-        if streaming:
-            telemetry = current()
-            with telemetry.span("campaign.scenario", noise=scenario[0],
-                                design=scenario[2].label, streaming=True):
-                result = self._run_scenario_streaming(
-                    scenario, plaintexts, attacks=attacks,
-                    assessments=assessments, tvla_schedule=tvla_schedule,
-                    compute_disclosure=compute_disclosure,
-                    keep_results=keep_results, chunk_size=chunk_size,
-                )
-                telemetry.record_rss()
-                return result
-        noise_label, noise_factory, design = scenario
-        noise = noise_factory() if noise_factory is not None else None
-        value_assessments = [a for a in assessments
-                             if a.kind in ("tvla-specific", "snr")]
-        fr_assessments = [a for a in assessments if a.kind == "tvla"]
-        rows: List[CampaignRow] = []
-        assessment_rows: List[AssessmentRow] = []
-        telemetry = current()
-
-        with telemetry.span("campaign.scenario", noise=noise_label,
-                            design=design.label):
-            if self._selections or value_assessments:
-                with telemetry.span("campaign.generate"):
-                    traces = self._traces_for(design, noise, plaintexts)
-                    telemetry.count("traces", len(traces))
-                for entry in self._selections:
-                    for attack_spec in attacks:
-                        with telemetry.span(
-                                "campaign.attack",
-                                selection=entry.selection.name,
-                                attack=attack_spec.label):
-                            telemetry.count("attacks")
-                            kernel = attack_spec.build(entry.selection)
-                            attack = run_attack(traces, kernel,
-                                                guesses=self.guesses)
-                            row = CampaignRow(
-                                design=design.label,
-                                selection=entry.selection.name,
-                                attack=attack_spec.label,
-                                noise=noise_label,
-                                trace_count=len(traces),
-                                best_guess=attack.best_guess,
-                                best_peak=attack.best_peak,
-                                correct_guess=entry.correct_guess,
-                            )
-                            if entry.correct_guess is not None:
-                                row.rank_of_correct = attack.rank_of(
-                                    entry.correct_guess)
-                                row.discrimination = \
-                                    attack.discrimination_ratio(
-                                        entry.correct_guess)
-                                if compute_disclosure:
-                                    row.disclosure = messages_to_disclosure(
-                                        traces, kernel, entry.correct_guess,
-                                        guesses=self.guesses,
-                                        start=self.mtd_start,
-                                        step=self.mtd_step,
-                                        stable_runs=self.stable_runs,
-                                    )
-                            if keep_results:
-                                row.result = attack
-                            rows.append(row)
-                if value_assessments:
-                    with telemetry.span("campaign.assess", kind="value",
-                                        assessments=len(value_assessments)):
-                        matrix = traces.matrix()
-                        trace_plaintexts = traces.plaintexts()
-                        for assessment, state in self._value_assessment_states(
-                                value_assessments):
-                            self._update_value_assessment(
-                                assessment, state, matrix, trace_plaintexts)
-                            assessment_rows.append(self._assessment_row(
-                                design.label, noise_label, assessment, state))
-
-            if fr_assessments:
-                from ..assess.tvla import StreamingTTest
-
-                with telemetry.span("campaign.assess", kind="tvla",
-                                    assessments=len(fr_assessments)):
-                    tvla_plaintexts, labels = tvla_schedule
-                    tvla_traces = self._traces_for(
-                        design, noise, tvla_plaintexts,
-                        noise_start=len(plaintexts))
-                    telemetry.count("traces", len(tvla_traces))
-                    matrix = tvla_traces.matrix()
-                    for assessment in fr_assessments:
-                        state = StreamingTTest(threshold=assessment.threshold)
-                        state.update(matrix, labels)
-                        assessment_rows.append(self._assessment_row(
-                            design.label, noise_label, assessment, state))
-            telemetry.record_rss()
-        return rows, assessment_rows
-
-    def _run_scenario_streaming(self, scenario, plaintexts, *,
-                                attacks, assessments, tvla_schedule,
-                                compute_disclosure, keep_results, chunk_size
-                                ) -> Tuple[List[CampaignRow], List[AssessmentRow]]:
-        """The bounded-memory counterpart of :meth:`_run_scenario`.
-
-        Traces are consumed as ``chunk_size`` blocks that feed the streaming
-        state machine of :class:`_StreamingScenarioState`; at no point does
-        more than one chunk of traces exist.  Disclosure sweeps segment each
-        chunk at the prefix boundaries, so the rows match the in-memory run
-        to floating-point reordering.
+        Every attack and assessment folds the traces into the streaming
+        state machine of :class:`_StreamingScenarioState`.  An in-memory run
+        is its one-chunk case: the trace set is generated once
+        (``campaign.generate``) and fed whole, each (selection × attack) in
+        its own ``campaign.attack`` span; second-order kernels centre that
+        one chunk.  A ``streaming`` run feeds ``chunk_size`` blocks inside
+        one ``campaign.stream`` span and never holds more than one chunk.
+        Non-specific TVLA assessments add one further fixed-vs-random
+        acquisition per scenario (their schedule is incompatible with the
+        all-random attack traces by construction).
         """
         noise_label, noise_factory, design = scenario
         noise = noise_factory() if noise_factory is not None else None
@@ -924,39 +829,56 @@ class AttackCampaign:
         state = _StreamingScenarioState(
             self, scenario, plaintexts, attacks=attacks,
             assessments=assessments, tvla_schedule=tvla_schedule,
-            compute_disclosure=compute_disclosure, keep_results=keep_results)
+            compute_disclosure=compute_disclosure, keep_results=keep_results,
+            whole_matrix=not streaming)
 
-        if state.needs_attack_stream:
-            with telemetry.span("campaign.stream", chunk_size=chunk_size):
-                for chunk in self._trace_chunks_for(design, noise, plaintexts,
-                                                    chunk_size):
-                    matrix = chunk.matrix()
-                    telemetry.count("chunks")
-                    telemetry.count("traces", matrix.shape[0])
-                    dt, t0 = chunk._time_params()
-                    state.apply_attack_chunk(matrix, chunk.plaintexts(),
-                                             dt, t0)
+        def chunks(stream_plaintexts, noise_start=0):
+            """The stream's traces: ``chunk_size`` blocks, or one chunk."""
+            if not streaming:
+                traces = self._traces_for(design, noise, stream_plaintexts,
+                                          noise_start)
+                telemetry.count("traces", len(traces))
+                yield traces
+                return
+            for chunk in self._trace_chunks_for(design, noise,
+                                                stream_plaintexts,
+                                                chunk_size, noise_start):
+                telemetry.count("chunks")
+                telemetry.count("traces", len(chunk))
+                yield chunk
 
-            for row in state.attack_rows():
-                telemetry.count("attacks")
-                rows.append(row)
-            if state.assessment_states:
-                with telemetry.span("campaign.assess", kind="value",
-                                    assessments=len(state.assessment_states)):
-                    assessment_rows.extend(state.value_assessment_rows())
+        with telemetry.span("campaign.scenario", noise=noise_label,
+                            design=design.label,
+                            **({"streaming": True} if streaming else {})):
+            if state.needs_attack_stream:
+                if streaming:
+                    with telemetry.span("campaign.stream",
+                                        chunk_size=chunk_size):
+                        for chunk in chunks(plaintexts):
+                            state.apply_attack_chunk(
+                                chunk.matrix(), chunk.plaintexts(),
+                                *chunk._time_params())
+                else:
+                    with telemetry.span("campaign.generate"):
+                        [traces] = chunks(plaintexts)
+                    state.apply_attack_chunk(
+                        traces.matrix(), traces.plaintexts(),
+                        *traces._time_params())
+                    del traces  # not held through the TVLA acquisition
+                for row in state.attack_rows():
+                    telemetry.count("attacks")
+                    rows.append(row)
+                assessment_rows.extend(state.value_assessment_rows())
 
-        if state.needs_tvla_stream:
-            with telemetry.span("campaign.assess", kind="tvla",
-                                assessments=len(state.fr_states)):
-                tvla_plaintexts, _labels = tvla_schedule
-                for chunk in self._trace_chunks_for(
-                        design, noise, tvla_plaintexts, chunk_size,
-                        noise_start=len(plaintexts)):
-                    matrix = chunk.matrix()
-                    telemetry.count("chunks")
-                    telemetry.count("traces", matrix.shape[0])
-                    state.apply_tvla_chunk(matrix)
-                assessment_rows.extend(state.fr_assessment_rows())
+            if state.needs_tvla_stream:
+                with telemetry.span("campaign.assess", kind="tvla",
+                                    assessments=len(state.fr_states)):
+                    tvla_plaintexts, _labels = tvla_schedule
+                    for chunk in chunks(tvla_plaintexts,
+                                        noise_start=len(plaintexts)):
+                        state.apply_tvla_chunk(chunk.matrix())
+                    assessment_rows.extend(state.fr_assessment_rows())
+            telemetry.record_rss()
         return rows, assessment_rows
 
     def _stream_chunk(self, scenario: tuple,
@@ -1060,11 +982,16 @@ class AttackCampaign:
         same per-scenario noise streams, same row order) and ``workers`` is
         purely a wall-clock knob.
 
-        With ``streaming=True`` each scenario consumes its traces as
-        ``chunk_size`` blocks through the accumulator pipelines of
-        :mod:`repro.assess` — never materializing more than one chunk — and
-        produces the same rows as the in-memory run (to floating-point
-        reordering, ≲ 1e-9) for every chunk size.  Streaming composes with
+        Every attack runs as the streaming state of its kernel
+        (:mod:`repro.assess.streaming`), with messages-to-disclosure read
+        off the same pass.  An in-memory run (the default) is the one-chunk
+        case: each scenario's whole trace set is generated once and fed as
+        one chunk, which also admits the second-order kernels (they centre
+        that whole matrix).  With ``streaming=True`` each scenario consumes
+        its traces as ``chunk_size`` blocks — never materializing more than
+        one chunk — and produces the same rows as the in-memory run (to
+        floating-point reordering, ≲ 1e-9 on peaks; exact on ranks and
+        disclosures) for every chunk size.  Streaming composes with
         ``workers``: each worker streams whole scenarios under the same
         one-chunk memory bound and returns only their result rows.
 
@@ -1240,22 +1167,28 @@ class AttackCampaign:
 
 
 class _StreamingScenarioState:
-    """The accumulation half of one streaming (noise × design) scenario.
+    """The accumulation half of one (noise × design) scenario.
 
     Owns every streaming accumulator of the scenario — attack statistics,
     disclosure trackers, value assessments, fixed-vs-random t-tests — and
     consumes trace chunks strictly in stream order.  Orchestration (who
-    generates the chunks, and where) lives outside: the serial path feeds
-    it from :meth:`AttackCampaign._trace_chunks_for`, while
-    :mod:`repro.serve` feeds it matrices generated by pool workers.  All
-    updates happen here, in one process, in deterministic chunk order, so
-    chunk-parallel runs produce bit-identical rows.
+    generates the chunks, and where) lives outside:
+    :meth:`AttackCampaign._run_scenario` feeds it blocks of
+    :meth:`AttackCampaign._trace_chunks_for`, while :mod:`repro.serve`
+    feeds it matrices generated by pool workers.  All updates happen here,
+    in one process, in deterministic chunk order, so chunk-parallel runs
+    produce bit-identical rows.
+
+    ``whole_matrix`` is the in-memory run: one chunk holds the whole
+    stream.  Second-order kernels may then centre it, and each (selection
+    × attack) is folded and read out inside its own ``campaign.attack``
+    span, the value assessments inside a ``campaign.assess`` span.
     """
 
     def __init__(self, campaign: "AttackCampaign", scenario: tuple,
                  plaintexts: Sequence[Sequence[int]], *, attacks,
                  assessments, tvla_schedule, compute_disclosure,
-                 keep_results):
+                 keep_results, whole_matrix: bool = False):
         from ..assess.streaming import (
             DisclosureTracker,
             disclosure_boundaries,
@@ -1266,6 +1199,7 @@ class _StreamingScenarioState:
         self.campaign = campaign
         self.tvla_schedule = tvla_schedule
         self.keep_results = keep_results
+        self.whole_matrix = whole_matrix
         noise_label, _noise_factory, design = scenario
         self.noise_label = noise_label
         self.design = design
@@ -1280,7 +1214,8 @@ class _StreamingScenarioState:
                 guess_space = (list(campaign.guesses)
                                if campaign.guesses is not None
                                else list(kernel.guesses()))
-                state = streaming_state(kernel, guess_space)
+                state = streaming_state(kernel, guess_space,
+                                        whole_matrix=whole_matrix)
                 tracker = None
                 if compute_disclosure and entry.correct_guess is not None:
                     try:
@@ -1302,6 +1237,7 @@ class _StreamingScenarioState:
                              for *_, tracker in self.attack_states) else [])
         self.sweep = BoundarySweep(boundaries)
         self.position = 0
+        self._finished_rows: Optional[List[CampaignRow]] = None
         self.dt: Optional[float] = None
         self.t0: Optional[float] = None
         self.fr_states = [(assessment,
@@ -1325,23 +1261,35 @@ class _StreamingScenarioState:
 
         Chunks must arrive in stream order — the disclosure sweep segments
         them at the global prefix boundaries, so ``position`` is part of
-        the state machine.
+        the state machine.  A state whose tracker has disclosed (or that
+        has none) takes its rows in one update (:func:`fold_chunk`).  The
+        spans and row read-out of a ``whole_matrix`` state happen here.
         """
+        from ..assess.streaming import fold_chunk
+
+        telemetry = current() if self.whole_matrix else NULL_TELEMETRY
         if self.dt is None:
             self.dt, self.t0 = dt, t0
         position = self.position
-        for start, stop in self.sweep.segments(position, matrix.shape[0]):
-            segment = slice(start - position, stop - position)
-            for *_, state, _tracker in self.attack_states:
-                state.update(matrix[segment], chunk_plaintexts[segment])
-            if self.sweep.at_boundary(stop):
-                for *_, state, tracker in self.attack_states:
-                    if tracker is not None:
-                        tracker.observe(stop, state.peaks())
-        for assessment, state in self.assessment_states:
-            self.campaign._update_value_assessment(assessment, state, matrix,
-                                                   chunk_plaintexts)
         self.position += matrix.shape[0]
+        finished = []
+        for attack in self.attack_states:
+            entry, attack_spec, _kernel, _guesses, state, tracker = attack
+            with telemetry.span("campaign.attack",
+                                selection=entry.selection.name,
+                                attack=attack_spec.label):
+                fold_chunk(state, tracker, self.sweep, matrix,
+                           chunk_plaintexts, position)
+                if self.whole_matrix:
+                    finished.append(self._attack_row(attack))
+        if self.whole_matrix:
+            self._finished_rows = finished
+        if self.assessment_states:
+            with telemetry.span("campaign.assess", kind="value",
+                                assessments=len(self.assessment_states)):
+                for assessment, state in self.assessment_states:
+                    self.campaign._update_value_assessment(
+                        assessment, state, matrix, chunk_plaintexts)
 
     def apply_tvla_chunk(self, matrix) -> None:
         """Fold the next chunk of the fixed-vs-random acquisition."""
@@ -1354,34 +1302,36 @@ class _StreamingScenarioState:
 
     def attack_rows(self) -> List[CampaignRow]:
         """One finished campaign row per (selection × attack) entry."""
+        if self._finished_rows is not None:
+            return self._finished_rows
+        return [self._attack_row(attack) for attack in self.attack_states]
+
+    def _attack_row(self, attack) -> CampaignRow:
         from .cpa import result_from_statistic
 
-        rows: List[CampaignRow] = []
-        for entry, attack_spec, kernel, guess_space, state, tracker \
-                in self.attack_states:
-            attack = result_from_statistic(
-                state.statistics(), guess_space, kernel.name, self.position,
-                self.dt, self.t0)
-            row = CampaignRow(
-                design=self.design.label,
-                selection=entry.selection.name,
-                attack=attack_spec.label,
-                noise=self.noise_label,
-                trace_count=self.position,
-                best_guess=attack.best_guess,
-                best_peak=attack.best_peak,
-                correct_guess=entry.correct_guess,
-            )
-            if entry.correct_guess is not None:
-                row.rank_of_correct = attack.rank_of(entry.correct_guess)
-                row.discrimination = attack.discrimination_ratio(
-                    entry.correct_guess)
-                if tracker is not None:
-                    row.disclosure = tracker.disclosure
-            if self.keep_results:
-                row.result = attack
-            rows.append(row)
-        return rows
+        entry, attack_spec, kernel, guess_space, state, tracker = attack
+        result = result_from_statistic(
+            state.statistics(), guess_space, kernel.name, self.position,
+            self.dt, self.t0)
+        row = CampaignRow(
+            design=self.design.label,
+            selection=entry.selection.name,
+            attack=attack_spec.label,
+            noise=self.noise_label,
+            trace_count=self.position,
+            best_guess=result.best_guess,
+            best_peak=result.best_peak,
+            correct_guess=entry.correct_guess,
+        )
+        if entry.correct_guess is not None:
+            row.rank_of_correct = result.rank_of(entry.correct_guess)
+            row.discrimination = result.discrimination_ratio(
+                entry.correct_guess)
+            if tracker is not None:
+                row.disclosure = tracker.disclosure
+        if self.keep_results:
+            row.result = result
+        return row
 
     def value_assessment_rows(self) -> List[AssessmentRow]:
         """Rows of the assessments that rode on the attack stream."""

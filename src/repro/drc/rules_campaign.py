@@ -121,8 +121,9 @@ def check_streaming_kernels(context) -> List[Finding]:
 
     Second-order (centered-product) kernels need the full trace matrix;
     :func:`repro.assess.streaming.streaming_state` raises ``DPAError``
-    when the first scenario reaches the attack — after its traces were
-    generated.  The attack family is known statically from the builder.
+    when the first streaming scenario builds its attack states — after the
+    run was planned and dispatched.  The attack family is known statically
+    from the builder.
     """
     from ..core.flow import _SecondOrderBuilder
 

@@ -520,3 +520,5 @@ class TestStreamingAttackStates:
         assert disclosure_boundaries(50, start=10, step=20) == [10, 30, 50]
         with pytest.raises(DPAError):
             disclosure_boundaries(50, start=1)
+        with pytest.raises(DPAError, match="step"):
+            disclosure_boundaries(50, step=0)

@@ -6,11 +6,11 @@ Three layers:
   DPA and CPA must both rank the true key byte first and CPA must disclose
   it with fewer traces (all seeded, fully deterministic);
 * numerical — the vectorized Pearson engine against ``np.corrcoef``, the
-  incremental prefix sweep against the full re-computation, the DPA kernel
-  against the historical ``dpa_attack``;
+  streaming states' boundary peaks against the full re-computation, the
+  DPA kernel against the historical ``dpa_attack``;
 * orchestration — noise ``apply`` vs ``apply_matrix`` equivalence, sharded
-  vs serial :class:`AttackCampaign` table identity, ``TraceSet.subset``
-  edge cases.
+  vs serial :class:`AttackCampaign` table identity, second-order attacks
+  inside an in-memory campaign, ``TraceSet.subset`` edge cases.
 
 The module-scoped ``reference_design`` fixture runs the end-to-end
 acceptance statement on the placed asynchronous AES: CPA discloses the key
@@ -20,6 +20,7 @@ byte in at most half the traces single-bit DPA needs.
 import numpy as np
 import pytest
 
+from repro.assess import StreamingCpaState, StreamingDomState
 from repro.asyncaes import AesArchitecture, AesNetlistGenerator, AesPowerTraceGenerator
 from repro.core import (
     AesSboxSelection,
@@ -41,8 +42,9 @@ from repro.core import (
     run_attack,
     second_order_cpa_attack,
     second_order_dpa_attack,
+    selection_matrix,
 )
-from repro.core.cpa import cpa_prefix_peaks
+from repro.core.dpa import _bias_matrix
 from repro.crypto import SBOX, random_key
 from repro.crypto.keys import PlaintextGenerator
 from repro.electrical import Waveform
@@ -156,6 +158,39 @@ class TestSecondOrder:
         with pytest.raises(DPAError):
             centered_product_matrix(traces.matrix(), pairs=[])
 
+    @pytest.mark.parametrize("kind", ["dpa2", "cpa2"])
+    def test_campaign_rows_match_standalone_attack(self, traces, kind):
+        """Second-order kernels, the whole-matrix exception, inside an
+        in-memory campaign: rank, best guess and disclosure equal the
+        standalone attack and disclosure sweep over the same traces."""
+        if kind == "dpa2":
+            selection = HammingWeightSelection(inner=SELECTION, threshold=4)
+            standalone = second_order_dpa_attack(traces, selection,
+                                                 pairs=[(2, 5)])
+            kernel = SecondOrderKernel(DpaKernel(selection), pairs=((2, 5),))
+            options = {}
+        else:
+            selection = SELECTION
+            standalone = second_order_cpa_attack(
+                traces, HammingWeightModel(selection), pairs=[(2, 5)])
+            kernel = SecondOrderKernel(CpaKernel(HammingWeightModel(selection)),
+                                       pairs=((2, 5),))
+            options = {"model": "hw"}
+        disclosure = messages_to_disclosure(traces, kernel, SECRET,
+                                            start=50, step=50)
+        campaign = AttackCampaign(mtd_start=50, mtd_step=50)
+        campaign.add_design("masked",
+                            trace_source=lambda plaintexts, noise: traces)
+        campaign.add_selection(selection, correct_guess=SECRET)
+        campaign.add_attack(kind, pairs=[(2, 5)], **options)
+        [row] = campaign.run(plaintexts=traces.plaintexts()).rows
+        assert row.trace_count == len(traces)
+        assert row.best_guess == standalone.best_guess == SECRET
+        assert row.rank_of_correct == standalone.rank_of(SECRET) == 1
+        assert row.best_peak == pytest.approx(standalone.best_peak, abs=1e-9)
+        assert row.disclosure == disclosure
+        assert disclosure is not None
+
 
 # --------------------------------------------------------------- numerical
 class TestPearsonEngine:
@@ -181,16 +216,37 @@ class TestPearsonEngine:
         with pytest.raises(DPAError):
             pearson_statistics(np.zeros((10, 3)), np.zeros((2, 11)))
 
+    @staticmethod
+    def _boundary_peaks(state, traces, boundaries):
+        """``(count, peaks)`` of ``state`` fed prefix by prefix."""
+        matrix, plaintexts = traces.matrix(), traces.plaintexts()
+        previous = 0
+        for count in boundaries:
+            state.update(matrix[previous:count], plaintexts[previous:count])
+            previous = count
+            yield count, state.peaks()
+
     def test_prefix_peaks_match_full_recomputation(self):
         traces = _hw_leaky_traces(200, seed=9)
         matrix = traces.matrix()
-        hypothesis = leakage_matrix(HammingWeightModel(SELECTION),
-                                    traces.plaintexts(), range(256))
-        boundaries = [32, 60, 128, 200]
-        for count, peaks in cpa_prefix_peaks(matrix, hypothesis, boundaries):
+        model = HammingWeightModel(SELECTION)
+        hypothesis = leakage_matrix(model, traces.plaintexts(), range(256))
+        state = StreamingCpaState(model, range(256))
+        for count, peaks in self._boundary_peaks(state, traces,
+                                                 [32, 60, 128, 200]):
             full = np.abs(pearson_statistics(
                 matrix[:count], hypothesis[:, :count])).max(axis=1)
             assert np.allclose(peaks, full, atol=1e-10)
+
+    def test_dom_prefix_peaks_match_bias_matrix(self):
+        traces = _hw_leaky_traces(200, seed=9)
+        matrix = traces.matrix()
+        bits = selection_matrix(SELECTION, traces.plaintexts(), range(256))
+        state = StreamingDomState(SELECTION, range(256))
+        for count, peaks in self._boundary_peaks(state, traces,
+                                                 [32, 60, 128, 200]):
+            bias, _ = _bias_matrix(matrix[:count], bits[:, :count])
+            assert np.allclose(peaks, np.abs(bias).max(axis=1), atol=1e-12)
 
     def test_dpa_kernel_matches_dpa_attack(self):
         traces = _hw_leaky_traces(150, seed=2)

@@ -4,13 +4,16 @@
 * ``TraceSet.extend`` / ``iter_chunks`` cache correctness;
 * ``AesPowerTraceGenerator.trace_chunks`` sample-identical to the batch path;
 * ``AttackCampaign(streaming=True)``: rows numerically identical to the
-  in-memory run for several chunk sizes, bounded chunk materialization, and
+  in-memory (one-chunk) run for several chunk sizes and for generated
+  (chunk size × disclosure sweep) cases, bounded chunk materialization, and
   the Table-2-style acceptance statement — TVLA flags the flat placement and
   clears the hierarchical one at the same trace budget.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.asyncaes import (
     AesArchitecture,
@@ -300,6 +303,41 @@ class TestStreamingCampaign:
             assert mem_row.flagged == stream_row.flagged
             assert (mem_row.n0, mem_row.n1) == (stream_row.n0, stream_row.n1)
 
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_generated_chunkings_match_one_chunk(self, data):
+        # Prefixes start at 32 traces.  Below that, two of the 256 guesses
+        # often have complementary selection bits; their |statistic|s tie
+        # exactly in real arithmetic, so summation order alone picks the
+        # argmax and no chunking can promise an exact rank.
+        count = data.draw(st.integers(32, 128), label="traces")
+        chunk_size = data.draw(st.integers(1, count), label="chunk_size")
+        mtd = dict(mtd_start=data.draw(st.integers(32, count), label="start"),
+                   mtd_step=data.draw(st.integers(1, count), label="step"),
+                   stable_runs=data.draw(st.integers(1, 3), label="stable"))
+
+        def campaign():
+            grid = AttackCampaign(KEY, **mtd)
+            grid.add_design("synth", trace_source=_synthetic_source)
+            grid.add_selection(AesSboxSelection(byte_index=0, bit_index=3))
+            grid.add_attack("dpa")
+            grid.add_attack("cpa", model="bit")
+            grid.add_noise("gauss", lambda: GaussianNoise(0.3, seed=5))
+            return grid
+
+        one_chunk = campaign().run(count, seed=3)
+        streamed = campaign().run(count, seed=3, streaming=True,
+                                  chunk_size=chunk_size)
+        assert len(streamed.rows) == len(one_chunk.rows) == 2
+        for mem_row, stream_row in zip(one_chunk.rows, streamed.rows):
+            assert mem_row.attack == stream_row.attack
+            assert mem_row.trace_count == stream_row.trace_count == count
+            assert mem_row.best_guess == stream_row.best_guess
+            assert mem_row.rank_of_correct == stream_row.rank_of_correct
+            assert mem_row.disclosure == stream_row.disclosure
+            assert mem_row.best_peak == pytest.approx(stream_row.best_peak,
+                                                      abs=1e-9)
+
     def test_streaming_never_materializes_more_than_one_chunk(self):
         chunk_size = 64
         block_sizes = []
@@ -356,6 +394,23 @@ class TestStreamingCampaign:
             campaign.run(100, streaming=True, chunk_size=0)
         with pytest.raises(ValueError, match="streaming"):
             campaign.run(100, chunk_size=64)
+
+    @pytest.mark.parametrize("option, value", [
+        ("mtd_start", 1), ("mtd_step", 0), ("mtd_step", -16),
+        ("stable_runs", 0)])
+    def test_mtd_sweep_rejected_before_generation(self, option, value):
+        generated = []
+
+        def counting_source(plaintexts, noise):
+            generated.append(len(plaintexts))
+            return _synthetic_source(plaintexts, noise)
+
+        with pytest.raises(ValueError, match=option):
+            campaign = AttackCampaign(KEY, **{option: value})
+            campaign.add_design("synth", trace_source=counting_source)
+            campaign.add_selection(AesSboxSelection(byte_index=0, bit_index=3))
+            campaign.run(64)
+        assert generated == []
 
     def test_add_assessment_validation(self):
         campaign = AttackCampaign(KEY)
