@@ -2,10 +2,13 @@
 
 :class:`DrcContext` carries everything a rule may look at — netlist,
 placement, campaign, run options — plus lazily built shared state (the
-circuit graph and logical levels, built once and reused by every security
-rule).  :func:`run_drc` applies the registry's rules layer by layer,
-skipping layers whose subject is absent, so one entry point serves a bare
-netlist, a placed design, and a configured campaign alike.
+circuit graph and logical levels, built once per netlist topology and
+reused by every security rule; the graph carries its compiled data-path
+view, :mod:`repro.graph.dataflow`, so the levels and every ``SEC001``
+rail cone share one compile).  :func:`run_drc` applies the registry's
+rules layer by layer, skipping layers whose subject is absent, so one
+entry point serves a bare netlist, a placed design, and a configured
+campaign alike.
 """
 
 from __future__ import annotations
@@ -207,7 +210,7 @@ class DrcPass:
         if bound is None:
             # Follow the pipeline's repair bound when one is recorded on the
             # context; fall back to the paper's default.
-            bound = 0.15
+            bound = context.bound if context.bound is not None else 0.15
         report = run_drc(context.netlist, placement=context.placement,
                          registry=self.registry, layers=self.layers,
                          cap_bound=bound,

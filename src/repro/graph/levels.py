@@ -20,41 +20,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 import networkx as nx
 
 from ..circuits.signals import TraceRecord, TransitionKind
-from .build import NODE_KIND, gate_nodes
+from .build import gate_nodes
+from .dataflow import data_graph
 
 
 class LevelAnalysisError(Exception):
     """Raised when logical levels cannot be computed."""
-
-
-def _data_subgraph(graph: nx.DiGraph, ignore_nets: Optional[Iterable[str]] = None) -> nx.DiGraph:
-    """Return a copy of the graph without edges flagged as acknowledge nets.
-
-    QDI circuits contain feedback through acknowledgement wires; the logical
-    levels of Section III are defined on the forward data path, so edges whose
-    net name marks them as acknowledge/reset signals are dropped before the
-    longest-path computation.  Remaining cycles are broken conservatively.
-    """
-    ignore = set(ignore_nets) if ignore_nets is not None else set()
-    sub = graph.copy()
-    to_remove = []
-    for source, target, data in sub.edges(data=True):
-        net = (data.get("net") or "").lower()
-        if data.get("net") in ignore:
-            to_remove.append((source, target))
-        elif "ack" in net or "reset" in net or "rst" in net:
-            to_remove.append((source, target))
-    sub.remove_edges_from(to_remove)
-    if not nx.is_directed_acyclic_graph(sub):
-        # Break remaining cycles (e.g. self-timed loops) by removing one edge
-        # per cycle; levels are then defined per pipeline stage.
-        while True:
-            try:
-                cycle = nx.find_cycle(sub)
-            except nx.NetworkXNoCycle:
-                break
-            sub.remove_edge(*cycle[0][:2])
-    return sub
 
 
 def compute_levels(graph: nx.DiGraph, *,
@@ -65,18 +36,17 @@ def compute_levels(graph: nx.DiGraph, *,
     (gates fed only by primary inputs are level 1), i.e. the longest data path
     from the block inputs — the quantity the paper uses to slice the block
     into ``Nc`` levels.
+
+    QDI circuits contain feedback through acknowledgement wires; the logical
+    levels of Section III are defined on the forward data path, so edges
+    whose net name marks them as acknowledge/reset signals (and edges on
+    ``ignore_nets``) are dropped before the longest-path computation.
+    Remaining cycles (e.g. self-timed loops) are broken by removing one edge
+    per cycle — the first edge of each cycle ``networkx.find_cycle``
+    reports — so levels are then defined per pipeline stage.  The walk runs
+    over the graph's compiled data view (:func:`repro.graph.dataflow.data_graph`).
     """
-    sub = _data_subgraph(graph, ignore_nets)
-    levels: Dict[str, int] = {}
-    for node in nx.topological_sort(sub):
-        if sub.nodes[node].get(NODE_KIND) != "gate":
-            continue
-        feeding = [
-            levels[p] for p in sub.predecessors(node)
-            if sub.nodes[p].get(NODE_KIND) == "gate"
-        ]
-        levels[node] = (max(feeding) + 1) if feeding else 1
-    return levels
+    return data_graph(graph).levels(ignore_nets)
 
 
 def critical_path_length(graph: nx.DiGraph, **kwargs) -> int:

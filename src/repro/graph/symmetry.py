@@ -19,7 +19,7 @@ import networkx as nx
 
 from ..circuits.channels import ChannelNets
 from ..circuits.netlist import Netlist
-from .build import NODE_CELL, NODE_KIND
+from .dataflow import data_graph
 from .levels import compute_levels
 
 
@@ -59,32 +59,49 @@ def rail_cone(netlist: Netlist, graph: nx.DiGraph, rail_net: str, *,
     """Gate instances in the transitive fan-in cone of ``rail_net``.
 
     The traversal walks backwards from the driver of the rail through data
-    edges, stopping at primary inputs and at any instance listed in
-    ``stop_at`` (used to bound the cone at channel boundaries).
+    edges (acknowledge and reset wires excluded), stopping at primary inputs
+    and at any instance listed in ``stop_at`` (used to bound the cone at
+    channel boundaries).  It runs over the graph's compiled data view
+    (:func:`repro.graph.dataflow.data_graph`), built once per graph.
     """
     net = netlist.net(rail_net)
     if net.driver is None:
         return []
-    stop = stop_at if stop_at is not None else set()
-    cone: List[str] = []
-    seen: Set[str] = set()
-    frontier = [net.driver.instance]
-    while frontier:
-        instance = frontier.pop()
-        if instance in seen or instance not in graph:
-            continue
-        seen.add(instance)
-        cone.append(instance)
-        if instance in stop:
-            continue
-        for predecessor in graph.predecessors(instance):
-            if graph.nodes[predecessor].get(NODE_KIND) == "gate":
-                edge = graph.edges[predecessor, instance]
-                net_name = (edge.get("net") or "").lower()
-                if "ack" in net_name or "reset" in net_name or "rst" in net_name:
-                    continue
-                frontier.append(predecessor)
-    return cone
+    return data_graph(graph).cone(net.driver.instance,
+                                  stop_at if stop_at is not None else ())
+
+
+def _level_counts(graph: nx.DiGraph, cone: Sequence[str],
+                  levels: Mapping[str, int]):
+    """Per-level gate counts and per-level cell counts of a cone.
+
+    Both are plain dicts keyed in order of first appearance along the cone,
+    so two cones compare with one C-level dict comparison.
+    """
+    cell_of = data_graph(graph).cell_of
+    gates_per_level: Dict[int, int] = {}
+    cells_per_level: Dict[int, Dict[str, int]] = {}
+    for instance in cone:
+        level = levels.get(instance, 0)
+        cell = cell_of[instance]
+        cells = cells_per_level.get(level)
+        if cells is None:
+            cells = cells_per_level[level] = {}
+            gates_per_level[level] = 0
+        gates_per_level[level] += 1
+        cells[cell] = cells.get(cell, 0) + 1
+    return gates_per_level, cells_per_level
+
+
+def _profile(rail: str, cone: Sequence[str], gates_per_level,
+             cells_per_level) -> ConeProfile:
+    return ConeProfile(
+        rail=rail,
+        gates=list(cone),
+        gates_per_level=gates_per_level,
+        cells_per_level={level: Counter(cells)
+                         for level, cells in cells_per_level.items()},
+    )
 
 
 def cone_profile(graph: nx.DiGraph, rail: str, cone: Sequence[str], *,
@@ -92,37 +109,35 @@ def cone_profile(graph: nx.DiGraph, rail: str, cone: Sequence[str], *,
     """Summarise a cone per logical level (gate count and cell types)."""
     if levels is None:
         levels = compute_levels(graph)
-    gates_per_level: Dict[int, int] = {}
-    cells_per_level: Dict[int, Counter] = {}
-    for instance in cone:
-        level = levels.get(instance, 0)
-        gates_per_level[level] = gates_per_level.get(level, 0) + 1
-        cells_per_level.setdefault(level, Counter())[
-            graph.nodes[instance].get(NODE_CELL, "?")
-        ] += 1
-    return ConeProfile(
-        rail=rail,
-        gates=list(cone),
-        gates_per_level=gates_per_level,
-        cells_per_level=cells_per_level,
-    )
+    return _profile(rail, cone, *_level_counts(graph, cone, levels))
 
 
 def compare_channel_symmetry(netlist: Netlist, graph: nx.DiGraph,
                              channel: ChannelNets, *,
                              levels: Optional[Mapping[str, int]] = None,
                              require_same_cells: bool = True) -> SymmetryReport:
-    """Compare the cones of every rail of a channel and report mismatches."""
+    """Compare the cones of every rail of a channel and report mismatches.
+
+    Each rail's per-level counts are compared with the first rail's as
+    plain dicts; mismatch text is only built for rails that differ.
+    """
     if levels is None:
         levels = compute_levels(graph)
     profiles = []
+    signatures = []
     for rail in channel.rails:
         cone = rail_cone(netlist, graph, rail)
-        profiles.append(cone_profile(graph, rail, cone, levels=levels))
+        gates_per_level, cells_per_level = _level_counts(graph, cone, levels)
+        profiles.append(_profile(rail, cone, gates_per_level,
+                                 cells_per_level))
+        signatures.append(cells_per_level if require_same_cells
+                          else gates_per_level)
 
     mismatches: List[str] = []
     reference = profiles[0]
-    for other in profiles[1:]:
+    for other, signature in zip(profiles[1:], signatures[1:]):
+        if signature == signatures[0]:
+            continue
         if set(other.gates_per_level) != set(reference.gates_per_level):
             mismatches.append(
                 f"rails {reference.rail!r} and {other.rail!r} span different levels: "

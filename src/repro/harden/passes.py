@@ -70,6 +70,8 @@ class PassContext:
     extractor that keeps routing/extraction live, and the latest criterion
     report.  ``scratch`` is a per-run dictionary for passes that need state
     across repair iterations (e.g. which fences were already resized).
+    ``bound`` is the criterion bound of the pipeline running the passes,
+    when it has one.
     """
 
     netlist: Netlist
@@ -81,6 +83,7 @@ class PassContext:
     placement: Optional[Placement] = None
     extractor: Optional[IncrementalExtractor] = None
     criterion: Optional[CriterionReport] = None
+    bound: Optional[float] = None
     rng: random.Random = None
     scratch: Dict[str, object] = field(default_factory=dict)
 

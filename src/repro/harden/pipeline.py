@@ -238,6 +238,7 @@ class PassPipeline:
             seed=seed,
             design_name=design_name or f"{netlist.name}_{suffix}",
             use_load_cap=self.use_load_cap,
+            bound=self.bound,
         )
         telemetry = current()
         records: List[PipelineRecord] = []

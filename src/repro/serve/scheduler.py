@@ -452,11 +452,17 @@ class CampaignService:
                     done.add(job_id)
                 pending.clear()
                 return
-            try:
-                message = self._result_queue.get(timeout=config.poll_timeout_s)
-            except Empty:
-                message = None
-            if message is not None:
+            # Take every message already delivered before the next health
+            # check: a slow ``on_payload`` must not leave a healthy
+            # worker's newer heartbeats queued while its age is judged.
+            block = True
+            while pending:
+                try:
+                    message = self._result_queue.get(block,
+                                                     config.poll_timeout_s)
+                except Empty:
+                    break
+                block = False
                 kind, worker_ref, *rest = message
                 if kind == BEAT:
                     _job_id, beat_time = rest
@@ -465,7 +471,14 @@ class CampaignService:
                 elif kind == CLAIM:
                     job_id, claim_time = rest
                     if job_id in pending:
-                        claimed[job_id] = (worker_ref, claim_time)
+                        handle = self._workers.get(worker_ref[0])
+                        if handle is not None and handle.ref == worker_ref:
+                            claimed[job_id] = (worker_ref, claim_time)
+                        else:
+                            # The claimant was reaped before its claim
+                            # arrived: no health check will ever judge it,
+                            # and the job died with it.
+                            self._requeue(job_id, jobs, attempts)
                     last_progress = time.monotonic()
                 elif kind == DONE:
                     job_id, payload = rest
@@ -484,11 +497,12 @@ class CampaignService:
                     raise ServeError(f"job {job_id} failed in worker "
                                      f"{worker_ref[0]}: {text}")
             now = time.monotonic()
-            if (message is None and not claimed
+            if (not claimed
                     and now - last_progress > config.heartbeat_timeout_s):
                 # The claim-lost window: a worker dequeued a job and died
-                # before claiming it.  Nothing is claimed, nothing arrives —
-                # requeue everything outstanding (duplicates are deduped on
+                # before claiming it.  Nothing is claimed and no claim or
+                # result arrives (heartbeats are not progress) — requeue
+                # everything outstanding (duplicates are deduped on
                 # arrival by the done-set).
                 logger.warning("no progress for %.1fs with no claims; "
                                "requeuing %d outstanding job(s)",

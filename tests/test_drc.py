@@ -635,6 +635,31 @@ class TestDrcPass:
         assert names[-1] == "drc-gate"
         assert result.records[-1].changed is False
 
+    @pytest.mark.parametrize("pipeline_bound, pass_bound, expected", [
+        (0.3, None, "0.3"),     # follows the pipeline's repair bound
+        (None, None, "0.15"),   # no pipeline bound: the paper's default
+        (0.3, 0.5, "0.5"),      # an explicit pass bound wins
+    ])
+    def test_pass_follows_the_pipeline_bound(self, pipeline_bound,
+                                             pass_bound, expected):
+        from repro.harden.passes import ExtractionPass, FlatPlacementPass
+        from repro.harden.pipeline import PassPipeline
+
+        netlist = _channel_netlist()
+        # A rail load far above any bound: SEC002 fires whatever extraction
+        # assigns, and its message names the bound it was judged against.
+        netlist.add_dummy_load("c_r0", 500.0)
+        registry = RuleRegistry([default_registry().rule("SEC002")])
+        pipeline = PassPipeline(
+            [FlatPlacementPass(effort=0.2), ExtractionPass(),
+             DrcPass(registry=registry, fail_on="warning",
+                     cap_bound=pass_bound)],
+            bound=pipeline_bound, name="drc-bound")
+        with pytest.raises(DrcError) as excinfo:
+            pipeline.run(netlist)
+        [hit] = excinfo.value.report.by_rule("SEC002")
+        assert f"exceeds bound {expected} " in hit.message
+
 
 # ----------------------------------------------------------- reference flows
 class TestReferenceFlows:

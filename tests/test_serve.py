@@ -233,6 +233,66 @@ class TestWorkerFailure:
         assert root.total("serve.jobs_requeued") >= 1
         assert served.rows == serial.rows
 
+    def test_slow_result_apply_does_not_time_out_healthy_workers(
+            self, monkeypatch):
+        from repro.serve import scheduler
+
+        campaign = _grid()
+        kwargs = dict(trace_count=64, streaming=True, chunk_size=24,
+                      compute_disclosure=False)
+        serial = campaign.run(**kwargs)
+        # The parent spends longer applying each of the first results than
+        # the heartbeat timeout; the other worker keeps beating meanwhile,
+        # and those beats sit in the result queue until the apply returns.
+        take_array = scheduler.CampaignService._take_array
+        slow_applies = iter(range(3))
+
+        def slow_take_array(self, worker_ref, transport):
+            if next(slow_applies, None) is not None:
+                time.sleep(0.6)
+            return take_array(self, worker_ref, transport)
+
+        monkeypatch.setattr(scheduler.CampaignService, "_take_array",
+                            slow_take_array)
+        service = _service(
+            campaign, ServiceConfig(workers=2, heartbeat_interval_s=0.05,
+                                    heartbeat_timeout_s=0.3))
+        telemetry = Telemetry()
+        with service, use(telemetry):
+            served = service.run("grid", **kwargs)
+        root = telemetry.snapshot()
+        assert root.total("serve.workers_timed_out") == 0
+        assert served.rows == serial.rows
+
+    def test_job_lost_before_its_claim_is_requeued_despite_heartbeats(
+            self, monkeypatch):
+        from repro.serve import pool
+
+        campaign = _grid()
+        kwargs = dict(trace_count=64, streaming=True, chunk_size=24,
+                      compute_disclosure=False)
+        serial = campaign.run(**kwargs)
+        # Worker 0 dequeues its first job and drops it without a claim,
+        # while both workers heartbeat far more often than the scheduler
+        # polls: beats alone must not hide that nothing is progressing.
+        loop = pool._WorkerRuntime.loop
+
+        def lossy_loop(self):
+            if self.ref == (0, 0):
+                self.job_queue.get()
+            loop(self)
+
+        monkeypatch.setattr(pool._WorkerRuntime, "loop", lossy_loop)
+        service = _service(
+            campaign, ServiceConfig(workers=2, heartbeat_interval_s=0.01,
+                                    heartbeat_timeout_s=0.5))
+        telemetry = Telemetry()
+        with service, use(telemetry):
+            served = service.run("grid", **kwargs)
+        root = telemetry.snapshot()
+        assert root.total("serve.jobs_requeued") >= 1
+        assert served.rows == serial.rows
+
     def test_total_pool_loss_degrades_to_inline(self):
         campaign = _grid()
         kwargs = dict(trace_count=64, streaming=True, chunk_size=24,
